@@ -18,7 +18,7 @@ from .objective import (BatchLossReport, PseudoSplit, build_pseudo_split,
                         cav_scores, confidence_indicator, loss_df,
                         loss_complementary_semantic, loss_sup_semantic,
                         mc_oracle_reg, pseudo_target, reg_consistency_semantic,
-                        total_objective)
+                        semantic_batch_loss, total_objective)
 from .trainer import (ScheduleState, TrainConfig, pretrain, schedule_gamma,
                       schedule_lambda, train_ss, update_tau)
 from .evalcli import MetricsRecord, cli_main, macro_micro_f1
@@ -34,7 +34,7 @@ __all__ = [
     "BatchLossReport", "PseudoSplit", "build_pseudo_split", "cav_scores",
     "confidence_indicator", "loss_df", "loss_complementary_semantic",
     "loss_sup_semantic", "mc_oracle_reg", "pseudo_target",
-    "reg_consistency_semantic", "total_objective",
+    "reg_consistency_semantic", "semantic_batch_loss", "total_objective",
     "ScheduleState", "TrainConfig", "pretrain", "schedule_gamma",
     "schedule_lambda", "train_ss", "update_tau",
     "MetricsRecord", "cli_main", "macro_micro_f1",

@@ -204,6 +204,22 @@ def check_lambda_zero(seed: int = 0, n_batches: int = 10,
 
 
 MAX_CHECK_MARGIN = 1.5
+# Rows per block of Monte-Carlo draws: bounds the check's memory at a few MB
+# whatever the sample count.
+MC_CHUNK_ROWS = 65_536
+
+
+def _mc_softmax_mean(a: np.ndarray, chol: np.ndarray, head: np.ndarray,
+                     n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Mean of softmax(head @ (a + chol @ e)) over ``n_samples`` standard
+    normal draws e, taken in blocks of MC_CHUNK_ROWS rows. The blocks consume
+    the generator in the same order as one (n_samples, d) draw."""
+    total = np.zeros(head.shape[0])
+    for start in range(0, n_samples, MC_CHUNK_ROWS):
+        rows = min(MC_CHUNK_ROWS, n_samples - start)
+        draws = a + rng.standard_normal((rows, a.size)) @ chol.T
+        total += softmax(draws @ head.T, axis=1).sum(axis=0)
+    return total / n_samples
 
 
 def check_weak_branch(seed: int = 0, n_samples: int = 1_000_000,
@@ -230,8 +246,7 @@ def check_weak_branch(seed: int = 0, n_samples: int = 1_000_000,
         cov = np.cov(cloud.T, bias=True)
         lam = [0.01, 0.05][case % 2]
         chol = np.linalg.cholesky(lam * cov + 1e-15 * np.eye(d_f))
-        draws = a + rng.standard_normal((n_samples, d_f)) @ chol.T
-        p_mc = softmax(draws @ head.T, axis=1).mean(axis=0)
+        p_mc = _mc_softmax_mean(a, chol, head, n_samples, rng)
         p_cf = probit_weak_probs(head, a, cov, lam, BETA_RELATIVE)
         worst = max(worst, float((np.abs(p_cf - p_mc) / p_mc).max()))
     return CheckResult("weak-branch-mc", worst <= rel_tol,

@@ -10,6 +10,15 @@ The three semantic variants replace sampling from N(a, lam*Sigma_y) by the
 closed forms in :mod:`plsp.semstats`; ``mc_oracle_reg`` keeps the sampled
 estimator around as an independent check.
 
+One step's three terms come from one graph (``semantic_batch_loss``): one
+forward over the stacked rows [labeled; unlabeled un-augmented; strong] and
+one shifted log-softmax in which each row selects its own class covariance
+(committed pseudo label, or weak-view semantic label). All l shift matrices
+are built once as a single (l*l, l) tensor and a constant one-hot matmul
+hands each row its block, so the graph has the same few dozen nodes for any
+class count. The per-term functions run the same kernel with the other row
+blocks empty. The frozen weak branch is one numpy forward per step.
+
 Gradient flow: everything computed from a frozen snapshot (weak-branch
 probabilities, pseudo labels, pseudo targets) enters as plain numpy constants;
 only the strong-branch / un-augmented log-probabilities under the live
@@ -154,63 +163,188 @@ def confidence_indicator(p_weak: np.ndarray, candidates: np.ndarray,
     return int(p_weak[jmax] >= tau[jmax] and bool(candidates[jmax]))
 
 
-# -- differentiable shifted-softmax machinery --------------------------------
+# -- the semantic objective kernel --------------------------------------------
 
-def _quadratic_form(head: Tensor, cov: np.ndarray) -> Tensor:
-    """Q[i, j] = (w_i - w_j)^T cov (w_i - w_j), differentiable in the head."""
-    hc = head @ Tensor(cov)
-    s = hc @ head.T
-    d = (head * hc).sum(axis=1, keepdims=True)   # (l, 1)
-    return d + d.T - s - s.T
+def _class_shifts(head: Tensor, covs: np.ndarray, lam: float) -> Tensor:
+    """All K shift matrices lam/2 * Q_k as one (K*l, l) tensor, block k in
+    rows k*l..k*l+l-1, with Q_k[i, j] = (w_i - w_j)^T covs[k] (w_i - w_j).
+
+    Only rank-2 ops on constants: a difference matmul forms the l*l head-row
+    differences, a tile matmul repeats them once per covariance, and a
+    block-sum matmul folds each covariance's d_f columns into one.
+    """
+    n_cov, dim = covs.shape[0], covs.shape[1]
+    eye = np.eye(head.shape[0])
+    diff = np.repeat(eye, len(eye), axis=0) - np.tile(eye, (len(eye), 1))
+    v = Tensor(diff) @ head                                   # row (i, j): w_i - w_j
+    vc = v @ Tensor(np.concatenate(covs, axis=1) * (0.5 * lam))
+    vv = v @ Tensor(np.tile(np.eye(dim), (1, n_cov)))
+    quad = (vc * vv) @ Tensor(np.kron(np.eye(n_cov), np.ones((dim, 1))))
+    return quad.T.reshape(n_cov * len(eye), len(eye))        # (i, j), k -> (k, i), j
+
+
+def _shifted_log_softmax(head: Tensor, feats: Tensor, covs: np.ndarray,
+                         classes: np.ndarray, lam: float) -> Tensor:
+    """Row i: log of exp(z_j) / sum_j' exp(z_j' + lam/2 * Q_c[j', j]) with
+    c = classes[i] picking the row's covariance from the (K, d_f, d_f) stack.
+
+    A constant one-hot matmul gives each row its own class's shift block.
+    Row-max and per-block shift-max constants are detached; they cancel
+    exactly, so the value and gradient match the unshifted expression.
+    """
+    l, n_cov = head.shape[0], covs.shape[0]
+    z = feats @ head.T                                        # (B, l)
+    shifts = _class_shifts(head, covs, lam)
+    kappa = shifts.data.reshape(n_cov, l * l).max(axis=1)
+    gain = (shifts + Tensor(-np.repeat(kappa, l)[:, None])).exp()
+    pick = np.asarray(classes)[:, None] == np.repeat(np.arange(n_cov), l)
+    m = z.data.max(axis=1, keepdims=True)
+    expz = ((z + Tensor(-m)).exp() @ Tensor(np.tile(np.eye(l), (1, n_cov)))
+            * Tensor(pick.astype(np.float64)))                # (B, K*l)
+    den = (expz @ gain).log() + Tensor(m + kappa[classes][:, None])
+    return z - den
 
 
 def shifted_log_probs(head: Tensor, feats: Tensor, cov: np.ndarray,
                       lam: float) -> Tensor:
     """log of exp(z_j) / sum_j' exp(z_j' + lam/2 * Q[j', j]) for a batch.
 
-    Row-max and shift-max constants are detached; they cancel exactly, so the
-    value and gradient match the unshifted expression. lam == 0 reduces to
-    log-softmax bit for bit (the quadratic term multiplies out to zeros).
+    lam == 0 reduces to log-softmax (the shifts multiply out to zeros).
     """
-    z = feats @ head.T                               # (B, l)
-    shift = _quadratic_form(head, cov) * (0.5 * lam)  # (l, l), rows j'
-    m = z.data.max(axis=1, keepdims=True)
-    kappa = float(shift.data.max())
-    expz = (z - m).exp()
-    gain = (shift - kappa).exp()
-    den = (expz @ gain).log() + (m + kappa)
-    return z - den
+    return _shifted_log_softmax(head, feats, np.asarray(cov)[None],
+                                np.zeros(feats.shape[0], dtype=np.int64), lam)
+
+
+def _objective_kernel(params: ClassifierParams, stats: ClassCovStats, lam: float,
+                      blocks: list[np.ndarray], classes: np.ndarray,
+                      sup_w: np.ndarray, reg_w: np.ndarray, cl_w: np.ndarray,
+                      reg_entropy: float, gamma: float,
+                      ) -> tuple[Tensor, tuple[float, float, float], int]:
+    """gamma * (loss_sup + reg_u) + loss_cl from one graph forward over the
+    stacked input blocks.
+
+    One shifted log-softmax over all rows, each with its class covariance,
+    feeds every term through constant (rows, l) weight masks that already
+    carry each term's 1/batch: ``sup_w`` and ``reg_w`` weight the clamped
+    log-probabilities, ``cl_w`` the clamped log(1 - p). ``reg_entropy`` is
+    the consistency term's constant entropy part. Returns the total, the
+    three term values and the clamp count.
+    """
+    rows = [np.asarray(b, dtype=np.float64).reshape(len(b), -1)
+            for b in blocks if len(b)]
+    if not rows:
+        return Tensor(0.0), (0.0, 0.0, 0.0), 0
+    feats = extract_features(params, np.concatenate(rows))
+    log_ps = _shifted_log_softmax(params.head, feats, stats.covs, classes, lam)
+    safe = log_ps.maximum(LOG_EPS)
+    one_minus = 1.0 - log_ps.exp()
+    log_rest = one_minus.maximum(1e-12).log()
+    total = (safe * Tensor(-gamma * (sup_w + reg_w))
+             + log_rest * Tensor(-cl_w)).sum() + gamma * reg_entropy
+    # 0.0 - x keeps a term whose weights are all zero at +0.0, not -0.0
+    values = (0.0 - float(np.sum(safe.data * sup_w)),
+              reg_entropy - float(np.sum(safe.data * reg_w)),
+              0.0 - float(np.sum(log_rest.data * cl_w)))
+    clamped = int(np.sum((log_ps.data < LOG_EPS) & ((sup_w > 0) | (reg_w > 0)))
+                  + np.sum((one_minus.data < 1e-12) & (cl_w > 0)))
+    return total, values, clamped
+
+
+def _weak_branch(frozen: FrozenClassifier, stats: ClassCovStats,
+                 x_weak: np.ndarray, candidates: np.ndarray, lam: float,
+                 tau: np.ndarray, beta: float,
+                 sem_labels: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray, float, ConsistencyReport]:
+    """The frozen side of the consistency term, pure numpy.
+
+    One forward under the snapshot gives the weak-view semantic labels (when
+    not supplied) and the probit expected softmax, each row at its own
+    class's covariance. Returns the semantic labels, the gated pseudo
+    targets, their summed entropy and the report (value and clamps unset).
+    """
+    batch = len(x_weak)
+    n_classes = frozen.n_classes
+    if batch == 0:
+        return (np.zeros(0, dtype=np.int64), np.zeros((0, n_classes)), 0.0,
+                ConsistencyReport(0.0, np.zeros(n_classes, dtype=np.int64), 0.0))
+    candidates = np.asarray(candidates, dtype=bool)
+    feats = frozen.features(x_weak)
+    if sem_labels is None:
+        sem_labels = masked_argmax(cav_scores(feats @ frozen.head.T), candidates)
+    p_weak = probit_weak_probs(frozen.head, feats, stats.covs, lam, beta,
+                               classes=sem_labels)
+
+    tau = np.asarray(tau, dtype=np.float64)
+    rows = np.arange(batch)
+    jmax = p_weak.argmax(axis=1)
+    h = (p_weak[rows, jmax] >= tau[jmax]) & candidates[rows, jmax]
+    masked = np.where(candidates, p_weak, 0.0)
+    mass = masked.sum(axis=1)
+    valid = mass > 0.0
+    targets = np.zeros_like(masked)
+    targets[valid] = masked[valid] / mass[valid, None]
+
+    weights = targets * (h & valid)[:, None]
+    entropy = float(np.sum(np.where(weights > 0, weights * np.log(
+        targets, out=np.zeros_like(targets), where=targets > 0), 0.0)))
+    report = ConsistencyReport(
+        value=0.0,
+        sigma_inc=np.bincount(sem_labels[h], minlength=n_classes).astype(np.int64),
+        h_pass_rate=float(h.mean()),
+        skipped=int(np.sum(~valid)),
+    )
+    return sem_labels, weights, entropy, report
+
+
+def semantic_batch_loss(params: ClassifierParams, frozen: FrozenClassifier,
+                        stats: ClassCovStats, x_lab: np.ndarray, y_lab: np.ndarray,
+                        x_unl: np.ndarray, x_weak: np.ndarray, x_strong: np.ndarray,
+                        candidates: np.ndarray, lam: float, tau: np.ndarray,
+                        gamma: float, beta: float = DEFAULT_BETA,
+                        ) -> tuple[Tensor, BatchLossReport]:
+    """One semi-supervised step's gamma * (loss_sup + reg_u) + loss_cl.
+
+    The rows [labeled; unlabeled un-augmented; strong] go through a single
+    graph forward. Covariances: the committed pseudo label for labeled rows,
+    the weak-view semantic label for the other two blocks. ``candidates``
+    belong to the unlabeled rows, which ``x_unl``, ``x_weak`` and
+    ``x_strong`` hold in the same order. Values equal ``assemble_batch`` over
+    the three per-term functions.
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    candidates = np.asarray(candidates, dtype=bool)
+    y_lab = np.asarray(y_lab, dtype=np.int64)
+    n_lab, n_unl = len(y_lab), len(x_unl)
+    sem, weights, entropy, consistency = _weak_branch(
+        frozen, stats, x_weak, candidates, lam, tau, beta)
+    l = params.n_classes
+    sup_w, reg_w, cl_w = (np.zeros((n_lab + 2 * n_unl, l)) for _ in range(3))
+    sup_w[np.arange(n_lab), y_lab] = 1.0 / max(n_lab, 1)
+    cl_w[n_lab:n_lab + n_unl] = ~candidates / max(n_unl, 1)
+    reg_w[n_lab + n_unl:] = weights / max(n_unl, 1)
+    total, (loss_sup, reg_u, loss_cl), clamped = _objective_kernel(
+        params, stats, lam, [x_lab, x_unl, x_strong],
+        np.concatenate([y_lab, sem, sem]), sup_w, reg_w, cl_w,
+        entropy / max(n_unl, 1), gamma)
+    report = BatchLossReport(
+        loss_sup=loss_sup, reg_u=reg_u, loss_cl=loss_cl, total=float(total.data),
+        sigma_inc=consistency.sigma_inc, h_pass_rate=consistency.h_pass_rate,
+        skipped=consistency.skipped, clamped=clamped)
+    return total, report
 
 
 def loss_sup_semantic(params: ClassifierParams, stats: ClassCovStats,
                       x: np.ndarray, y: np.ndarray, lam: float) -> tuple[Tensor, int]:
     """Mean -log of the target's shifted-softmax probability on un-augmented
     features, covariance chosen by the committed pseudo label."""
-    y = np.asarray(y)
-    batch = len(y)
-    if batch == 0:
-        return Tensor(0.0), 0
-    n_classes = params.n_classes
-    pieces: list[Tensor] = []
-    clamped = 0
-    for cls in np.unique(y):
-        grp = np.flatnonzero(y == cls)
-        feats = extract_features(params, x[grp])
-        z = feats @ params.head.T
-        quad = _quadratic_form(params.head, stats.cov(int(cls)))
-        col = np.zeros((n_classes, 1))
-        col[int(cls), 0] = 1.0
-        shift_col = ((quad @ Tensor(col)) * (0.5 * lam)).reshape(n_classes)
-        den = (z + shift_col).logsumexp(axis=1)
-        onehot = np.zeros((grp.size, n_classes))
-        onehot[:, int(cls)] = 1.0
-        log_p = (z * onehot).sum(axis=1) - den
-        clamped += int(np.sum(log_p.data < LOG_EPS))
-        pieces.append(-(log_p.maximum(LOG_EPS)).sum())
-    total = pieces[0]
-    for piece in pieces[1:]:
-        total = total + piece
-    return total / batch, clamped
+    y = np.asarray(y, dtype=np.int64)
+    weights = np.zeros((len(y), params.n_classes))
+    weights[np.arange(len(y)), y] = 1.0 / max(len(y), 1)
+    zero = np.zeros_like(weights)
+    loss, _, clamped = _objective_kernel(params, stats, lam, [x], y, weights,
+                                         zero, zero, 0.0, 1.0)
+    return loss, clamped
 
 
 def reg_consistency_semantic(params: ClassifierParams, frozen: FrozenClassifier,
@@ -228,62 +362,13 @@ def reg_consistency_semantic(params: ClassifierParams, frozen: FrozenClassifier,
     branch. Returns the loss tensor and per-class confident counts.
     """
     batch = len(x_strong)
-    n_classes = frozen.n_classes
-    empty = ConsistencyReport(0.0, np.zeros(n_classes, dtype=np.int64), 0.0)
-    if batch == 0:
-        return Tensor(0.0), empty
-    candidates = np.asarray(candidates, dtype=bool)
-    if sem_labels is None:
-        sem_labels = weak_cav_pseudo_labels(frozen, x_weak, candidates)
-    feats_weak = frozen.features(x_weak)
-
-    p_weak = np.zeros((batch, n_classes))
-    for cls in np.unique(sem_labels):
-        grp = np.flatnonzero(sem_labels == cls)
-        p_weak[grp] = probit_weak_probs(frozen.head, feats_weak[grp],
-                                        stats.cov(int(cls)), lam, beta)
-
-    tau = np.asarray(tau, dtype=np.float64)
-    jmax = p_weak.argmax(axis=1)
-    h = (p_weak[np.arange(batch), jmax] >= tau[jmax]) \
-        & candidates[np.arange(batch), jmax]
-    masked = np.where(candidates, p_weak, 0.0)
-    mass = masked.sum(axis=1)
-    valid = mass > 0.0
-    targets = np.zeros_like(masked)
-    targets[valid] = masked[valid] / mass[valid, None]
-
-    weights = targets * (h & valid)[:, None]
-    entropy = np.sum(np.where(weights > 0, weights * np.log(targets,
-                     out=np.zeros_like(targets), where=targets > 0), 0.0))
-
-    pieces: list[Tensor] = []
-    clamped = 0
-    for cls in np.unique(sem_labels):
-        grp = np.flatnonzero(sem_labels == cls)
-        if not np.any(weights[grp]):
-            continue
-        feats_strong = extract_features(params, x_strong[grp])
-        log_ps = shifted_log_probs(params.head, feats_strong,
-                                   stats.cov(int(cls)), lam)
-        w = weights[grp]
-        clamped += int(np.sum((log_ps.data < LOG_EPS) & (w > 0)))
-        pieces.append((log_ps.maximum(LOG_EPS) * w).sum())
-    if pieces:
-        cross = pieces[0]
-        for piece in pieces[1:]:
-            cross = cross + piece
-        value = (Tensor(entropy) - cross) / batch
-    else:
-        value = Tensor(0.0)
-
-    report = ConsistencyReport(
-        value=float(value.data),
-        sigma_inc=np.bincount(sem_labels[h], minlength=n_classes).astype(np.int64),
-        h_pass_rate=float(h.mean()),
-        skipped=int(np.sum(~valid)),
-        clamped=clamped,
-    )
+    sem, weights, entropy, report = _weak_branch(
+        frozen, stats, x_weak, candidates, lam, tau, beta, sem_labels)
+    zero = np.zeros_like(weights)
+    value, _, report.clamped = _objective_kernel(
+        params, stats, lam, [x_strong], sem, zero, weights / max(batch, 1),
+        zero, entropy / max(batch, 1), 1.0)
+    report.value = float(value.data)
     return value, report
 
 
@@ -293,25 +378,13 @@ def loss_complementary_semantic(params: ClassifierParams, stats: ClassCovStats,
                                 ) -> tuple[Tensor, int]:
     """Mean over the batch of sum_{j not in C_i} -log(1 - p_ij), with p the
     shifted softmax on un-augmented features (covariance by weak-view label)."""
-    batch = len(x)
-    if batch == 0:
-        return Tensor(0.0), 0
-    candidates = np.asarray(candidates, dtype=bool)
-    non_candidates = (~candidates).astype(np.float64)
-    pieces: list[Tensor] = []
-    clamped = 0
-    for cls in np.unique(sem_labels):
-        grp = np.flatnonzero(sem_labels == cls)
-        feats = extract_features(params, x[grp])
-        log_ps = shifted_log_probs(params.head, feats, stats.cov(int(cls)), lam)
-        one_minus = 1.0 - log_ps.exp()
-        mask = non_candidates[grp]
-        clamped += int(np.sum((one_minus.data < 1e-12) & (mask > 0)))
-        pieces.append(-(one_minus.maximum(1e-12).log() * mask).sum())
-    total = pieces[0]
-    for piece in pieces[1:]:
-        total = total + piece
-    return total / batch, clamped
+    non_candidates = ~np.asarray(candidates, dtype=bool)
+    weights = non_candidates / max(len(x), 1)
+    zero = np.zeros(weights.shape)
+    loss, _, clamped = _objective_kernel(params, stats, lam, [x],
+                                         np.asarray(sem_labels), zero, zero,
+                                         weights, 0.0, 1.0)
+    return loss, clamped
 
 
 def total_objective(loss_sup: Tensor, reg_u: Tensor, loss_cl: Tensor,

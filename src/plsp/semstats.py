@@ -140,20 +140,23 @@ def std_normal_cdf(z):
 
 
 def pairwise_quadratic(head: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Q[i, j] = (w_i - w_j)^T cov (w_i - w_j) for all head-row pairs."""
+    """Q[i, j] = (w_i - w_j)^T cov (w_i - w_j) for all head-row pairs; a
+    (K, d_f, d_f) stack of covariances gives a (K, l, l) stack of forms."""
     hc = head @ cov
     s = hc @ head.T
-    d = np.sum(head * hc, axis=1)
-    return d[:, None] + d[None, :] - s - s.T
+    d = np.sum(head * hc, axis=-1)
+    return d[..., :, None] + d[..., None, :] - s - np.swapaxes(s, -1, -2)
 
 
 def probit_weak_probs(head: np.ndarray, feats: np.ndarray, cov: np.ndarray,
-                      lam: float, beta: float = DEFAULT_BETA) -> np.ndarray:
+                      lam: float, beta: float = DEFAULT_BETA,
+                      classes: np.ndarray | None = None) -> np.ndarray:
     """Closed-form approximation of E[softmax(head @ a~)], a~ ~ N(a, lam*cov).
 
-    Accepts a single feature vector or a (B, d_f) batch sharing one covariance.
-    The raw map can leave the simplex when Phi terms are tiny, so the result
-    is clamped to >= 0 and renormalized to sum 1.
+    Accepts a single feature vector or a (B, d_f) batch. The batch shares one
+    (d_f, d_f) covariance, or, with ``classes``, row i takes ``cov[classes[i]]``
+    from a (K, d_f, d_f) stack. The raw map can leave the simplex when Phi
+    terms are tiny, so the result is clamped to >= 0 and renormalized to sum 1.
     """
     head = np.asarray(head, dtype=np.float64)
     feats = np.asarray(feats, dtype=np.float64)
@@ -166,8 +169,9 @@ def probit_weak_probs(head: np.ndarray, feats: np.ndarray, cov: np.ndarray,
     n_classes = head.shape[0]
     quad = pairwise_quadratic(head, cov)
     denom_scale = np.sqrt(np.maximum(1.0 + lam * beta * beta * quad, _PHI_CLAMP))
+    denom_scale = denom_scale[None] if classes is None else denom_scale[classes]
     margins = z[:, :, None] - z[:, None, :]          # (B, j, j')
-    phi = np.clip(ndtr(beta * margins / denom_scale[None]), _PHI_CLAMP, 1.0 - _PHI_CLAMP)
+    phi = np.clip(ndtr(beta * margins / denom_scale), _PHI_CLAMP, 1.0 - _PHI_CLAMP)
     den = -n_classes + (1.0 / phi).sum(axis=2)
     probs = np.clip(1.0 / den, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)

@@ -4,6 +4,9 @@ The op set is exactly what the training losses need: matmul, add/sub/mul
 with rank<=2 broadcasting, exp, log, elementwise max against a constant,
 axis sums, transpose, and a fused logsumexp whose backward is the softmax.
 Everything runs single-threaded on numpy, so reductions are deterministic.
+Backward closures hold their parents and constant arrays, never their own
+node, so a graph is acyclic and reference counting frees it as soon as its
+root is dropped.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -160,11 +164,14 @@ class Tensor:
         return out
 
     def exp(self) -> "Tensor":
-        out = self._child(np.exp(self.data), (self,))
+        # the closure keeps the value array, not `out`: a reference back to
+        # the node would make every graph a cycle that only the cyclic GC frees
+        value = np.exp(self.data)
+        out = self._child(value, (self,))
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g * out.data)
+                self._accumulate(g * value)
 
         out._backward = backward
         return out

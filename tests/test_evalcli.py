@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from plsp.evalcli import (MetricsRecord, beta_sup_errors, build_train_config,
-                          check_lambda_zero, cli_main, macro_micro_f1,
-                          parse_config_file)
+from plsp import evalcli
+from plsp.evalcli import (MetricsRecord, _mc_softmax_mean, beta_sup_errors,
+                          build_train_config, check_lambda_zero, cli_main,
+                          macro_micro_f1, parse_config_file)
+from plsp.tensorcore import softmax
 
 
 def brute_force_f1(preds, truths, l):
@@ -140,6 +142,20 @@ def test_beta_report_contains_candidates():
 def test_lambda_zero_check_passes():
     res = check_lambda_zero(seed=1)
     assert res.passed, res.detail
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_chunked_mc_mean_matches_one_shot_draw(monkeypatch, chunk):
+    monkeypatch.setattr(evalcli, "MC_CHUNK_ROWS", chunk)
+    rng = np.random.default_rng(21)
+    head = rng.standard_normal((3, 8))
+    a = rng.standard_normal(8)
+    chol = np.linalg.cholesky(0.05 * np.cov(rng.standard_normal((40, 8)).T))
+    n = 333
+    draws = a + np.random.default_rng(5).standard_normal((n, 8)) @ chol.T
+    one_shot = softmax(draws @ head.T, axis=1).mean(axis=0)
+    chunked = _mc_softmax_mean(a, chol, head, n, np.random.default_rng(5))
+    assert np.abs(chunked - one_shot).max() <= 1e-12 * np.abs(one_shot).max()
 
 
 def test_worker_cap_env(monkeypatch):

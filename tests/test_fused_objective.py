@@ -1,0 +1,288 @@
+"""The one-forward semantic objective against a per-class reference.
+
+The reference below regroups each batch by class and runs one forward and
+one quadratic form per group, as the objective was first written. It lives
+here only as an oracle: the library computes every term from one stacked
+forward with per-row covariance selection.
+"""
+
+import numpy as np
+import pytest
+
+from plsp import objective
+from plsp.model import extract_features, init_classifier, snapshot_frozen
+from plsp.objective import (LOG_EPS, assemble_batch, semantic_batch_loss,
+                            weak_cav_pseudo_labels)
+from plsp.pldata import generate_fps, generate_uss, make_blobs
+from plsp.semstats import ClassCovStats, probit_weak_probs, update_cov_stats
+from plsp.tensorcore import Tensor, gradients
+from plsp.trainer import TrainConfig, new_classifier, train_ss
+
+
+# -- per-class reference -------------------------------------------------------
+
+def _ref_quadratic_form(head, cov):
+    hc = head @ Tensor(cov)
+    s = hc @ head.T
+    d = (head * hc).sum(axis=1, keepdims=True)
+    return d + d.T - s - s.T
+
+
+def _ref_shifted_log_probs(head, feats, cov, lam):
+    z = feats @ head.T
+    shift = _ref_quadratic_form(head, cov) * (0.5 * lam)
+    m = z.data.max(axis=1, keepdims=True)
+    kappa = float(shift.data.max())
+    den = ((z - m).exp() @ (shift - kappa).exp()).log() + (m + kappa)
+    return z - den
+
+
+def _ref_sum(pieces):
+    total = pieces[0]
+    for piece in pieces[1:]:
+        total = total + piece
+    return total
+
+
+def _ref_loss_sup(params, stats, x, y, lam):
+    if len(y) == 0:
+        return Tensor(0.0), 0
+    l = params.n_classes
+    pieces, clamped = [], 0
+    for cls in np.unique(y):
+        grp = np.flatnonzero(y == cls)
+        z = extract_features(params, x[grp]) @ params.head.T
+        col = np.zeros((l, 1))
+        col[cls, 0] = 1.0
+        quad = _ref_quadratic_form(params.head, stats.cov(cls))
+        shift_col = ((quad @ Tensor(col)) * (0.5 * lam)).reshape(l)
+        onehot = np.zeros((grp.size, l))
+        onehot[:, cls] = 1.0
+        log_p = (z * onehot).sum(axis=1) - (z + shift_col).logsumexp(axis=1)
+        clamped += int(np.sum(log_p.data < LOG_EPS))
+        pieces.append(-(log_p.maximum(LOG_EPS)).sum())
+    return _ref_sum(pieces) / len(y), clamped
+
+
+def _ref_reg(params, frozen, stats, x_weak, x_strong, candidates, lam, tau,
+             beta, sem):
+    batch, l = len(x_strong), frozen.n_classes
+    feats_weak = frozen.features(x_weak)
+    p_weak = np.zeros((batch, l))
+    for cls in np.unique(sem):
+        grp = np.flatnonzero(sem == cls)
+        p_weak[grp] = probit_weak_probs(frozen.head, feats_weak[grp],
+                                        stats.cov(cls), lam, beta)
+    rows = np.arange(batch)
+    jmax = p_weak.argmax(axis=1)
+    h = (p_weak[rows, jmax] >= tau[jmax]) & candidates[rows, jmax]
+    masked = np.where(candidates, p_weak, 0.0)
+    mass = masked.sum(axis=1)
+    valid = mass > 0.0
+    targets = np.zeros_like(masked)
+    targets[valid] = masked[valid] / mass[valid, None]
+    weights = targets * (h & valid)[:, None]
+    entropy = np.sum(np.where(weights > 0, weights * np.log(
+        targets, out=np.zeros_like(targets), where=targets > 0), 0.0))
+    pieces, clamped = [], 0
+    for cls in np.unique(sem):
+        grp = np.flatnonzero(sem == cls)
+        if not np.any(weights[grp]):
+            continue
+        log_ps = _ref_shifted_log_probs(
+            params.head, extract_features(params, x_strong[grp]), stats.cov(cls), lam)
+        w = weights[grp]
+        clamped += int(np.sum((log_ps.data < LOG_EPS) & (w > 0)))
+        pieces.append((log_ps.maximum(LOG_EPS) * w).sum())
+    value = (Tensor(entropy) - _ref_sum(pieces)) / batch if pieces else Tensor(0.0)
+    report = objective.ConsistencyReport(
+        value=float(value.data),
+        sigma_inc=np.bincount(sem[h], minlength=l).astype(np.int64),
+        h_pass_rate=float(h.mean()), skipped=int(np.sum(~valid)),
+        clamped=clamped)
+    return value, report
+
+
+def _ref_loss_cl(params, stats, x, candidates, sem, lam):
+    non_candidates = (~candidates).astype(np.float64)
+    pieces, clamped = [], 0
+    for cls in np.unique(sem):
+        grp = np.flatnonzero(sem == cls)
+        log_ps = _ref_shifted_log_probs(
+            params.head, extract_features(params, x[grp]), stats.cov(cls), lam)
+        one_minus = 1.0 - log_ps.exp()
+        mask = non_candidates[grp]
+        clamped += int(np.sum((one_minus.data < 1e-12) & (mask > 0)))
+        pieces.append(-(one_minus.maximum(1e-12).log() * mask).sum())
+    return _ref_sum(pieces) / len(x), clamped
+
+
+def _ref_step(params, frozen, stats, x_lab, y_lab, x_unl, x_w, x_s, cands,
+              lam, tau, gamma, beta):
+    loss_sup, sup_clamped = _ref_loss_sup(params, stats, x_lab, y_lab, lam)
+    consistency = None
+    if len(x_unl):
+        sem = weak_cav_pseudo_labels(frozen, x_w, cands)
+        reg, consistency = _ref_reg(params, frozen, stats, x_w, x_s, cands,
+                                    lam, tau, beta, sem)
+        loss_cl, cl_clamped = _ref_loss_cl(params, stats, x_unl, cands, sem, lam)
+    else:
+        reg, loss_cl, cl_clamped = Tensor(0.0), Tensor(0.0), 0
+    return assemble_batch(loss_sup, reg, loss_cl, gamma, params.n_classes,
+                          consistency, clamped=sup_clamped + cl_clamped)
+
+
+# -- equivalence on fixed batches ------------------------------------------------
+
+def _batch(l, n_lab, n_unl, seed, present=None, tau=None, head_scale=1.0):
+    """A live model nudged off its frozen snapshot, populated covariances and
+    one step's inputs; ``present`` restricts the classes the batch uses."""
+    rng = np.random.default_rng(seed)
+    d_in, d_f = 4, 8
+    params = init_classifier(d_in, (12, d_f), l, rng)
+    params.head.data *= head_scale
+    stats = ClassCovStats(l, d_f)
+    feats = params.eval_features(rng.standard_normal((20 * l, d_in)))
+    update_cov_stats(stats, feats, rng.integers(0, l, size=20 * l))
+    frozen = snapshot_frozen(params)
+    for p in params.parameters():
+        p.data += 0.05 * rng.standard_normal(p.data.shape)
+    classes = np.arange(l) if present is None else np.asarray(present)
+    x_lab = rng.standard_normal((n_lab, d_in))
+    y_lab = rng.choice(classes, size=n_lab)
+    x_unl = rng.standard_normal((n_unl, d_in))
+    x_w = x_unl + 0.05 * rng.standard_normal((n_unl, d_in))
+    x_s = x_unl + 0.15 * rng.standard_normal((n_unl, d_in))
+    truth = rng.choice(classes, size=n_unl)
+    cands = generate_uss(truth, l, rng) if n_unl else np.zeros((0, l), bool)
+    if present is not None:
+        cands[:, np.setdiff1d(np.arange(l), classes)] = False
+        cands[np.arange(n_unl), truth] = True
+    tau = np.full(l, 1.5 / l if tau is None else tau)
+    return (params, frozen, stats, x_lab, y_lab, x_unl, x_w, x_s, cands,
+            0.05, tau, 0.7, 0.587632)
+
+
+CASES = {
+    "full": dict(n_lab=6, n_unl=9),
+    "empty-labeled": dict(n_lab=0, n_unl=9),
+    "empty-unlabeled": dict(n_lab=6, n_unl=0),
+    "class-absent": dict(n_lab=6, n_unl=9, present=[0, 2]),
+    "gate-all-zero": dict(n_lab=6, n_unl=9, tau=1.0),
+    "saturated": dict(n_lab=6, n_unl=9, head_scale=60.0),
+}
+
+
+def _rel(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-300)
+    return float(np.abs(a - b).max(initial=0.0) / scale)
+
+
+@pytest.mark.parametrize("l", [3, 4, 10])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fused_step_matches_per_class_reference(l, case):
+    args = _batch(l, seed=100 + l, **CASES[case])
+    params = args[0]
+    ref_total, ref = _ref_step(*args)
+    ref_grads = [g.copy() for g in gradients(ref_total, params.parameters())]
+    total, got = semantic_batch_loss(*args)
+    grads = gradients(total, params.parameters())
+
+    assert _rel(float(total.data), float(ref_total.data)) <= 1e-12
+    for g, r in zip(grads, ref_grads):
+        assert _rel(g, r) <= 1e-12
+    for name in ("loss_sup", "reg_u", "loss_cl", "total"):
+        assert _rel(getattr(got, name), getattr(ref, name)) <= 1e-12, name
+    assert got.clamped == ref.clamped
+    assert got.skipped == ref.skipped
+    assert got.h_pass_rate == ref.h_pass_rate
+    assert got.sigma_inc.tolist() == ref.sigma_inc.tolist()
+    if case == "saturated":
+        assert got.clamped > 0
+    if case == "gate-all-zero":
+        assert got.h_pass_rate == 0.0 and got.reg_u == 0.0
+    elif case in ("full", "empty-labeled", "saturated"):
+        assert got.h_pass_rate > 0.0
+
+
+@pytest.mark.parametrize("l", [3, 4, 10])
+def test_per_term_functions_match_reference(l):
+    (params, frozen, stats, x_lab, y_lab, x_unl, x_w, x_s, cands, lam, tau,
+     _gamma, beta) = _batch(l, 6, 9, seed=200 + l)
+    sem = weak_cav_pseudo_labels(frozen, x_w, cands)
+    pairs = [
+        (objective.loss_sup_semantic(params, stats, x_lab, y_lab, lam),
+         _ref_loss_sup(params, stats, x_lab, y_lab, lam)),
+        (objective.loss_complementary_semantic(params, stats, x_unl, cands, sem, lam),
+         _ref_loss_cl(params, stats, x_unl, cands, sem, lam)),
+    ]
+    reg, rep = objective.reg_consistency_semantic(params, frozen, stats, x_w, x_s,
+                                                  cands, lam, tau, beta)
+    ref_reg, ref_rep = _ref_reg(params, frozen, stats, x_w, x_s, cands, lam,
+                                tau, beta, sem)
+    pairs.append(((reg, rep.clamped), (ref_reg, ref_rep.clamped)))
+    assert rep.sigma_inc.tolist() == ref_rep.sigma_inc.tolist()
+    for (loss, clamped), (ref_loss, ref_clamped) in pairs:
+        assert clamped == ref_clamped
+        assert _rel(float(loss.data), float(ref_loss.data)) <= 1e-12
+        grads = gradients(loss, params.parameters())
+        grads = [g.copy() for g in grads]
+        for g, r in zip(grads, gradients(ref_loss, params.parameters())):
+            assert _rel(g, r) <= 1e-12
+
+
+def test_fused_step_raises_on_non_finite_snapshot():
+    args = list(_batch(4, 6, 9, seed=300))
+    frozen = args[1]
+    frozen.head[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite logits"):
+        semantic_batch_loss(*args)
+
+
+# -- graph-size guard ---------------------------------------------------------------
+
+def _count_nodes(root):
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def _step_graph_sizes(monkeypatch, l):
+    rng = np.random.default_rng(l)
+    ds = make_blobs(30 * l, l, 2, 5.0, rng)
+    ds.candidates = generate_fps(ds.truth, l, 0.4, rng)
+    config = TrainConfig(pretrain_epochs=0, ss_epochs=2, inner_iters=3,
+                         batch_labeled=8, batch_unlabeled=16, k=5,
+                         hidden_dims=(12, 6), seed=1)
+    nodes, forwards = [], []
+    backward = Tensor.backward
+    forward = objective.extract_features
+
+    def counting_backward(self):
+        nodes.append(_count_nodes(self))
+        backward(self)
+
+    def counting_forward(*args, **kwargs):
+        forwards.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    monkeypatch.setattr(objective, "extract_features", counting_forward)
+    train_ss(ds, new_classifier(ds, config), config)
+    steps = config.ss_epochs * config.inner_iters
+    assert len(nodes) == steps
+    assert len(forwards) == steps
+    return set(nodes)
+
+
+def test_step_graph_is_small_and_independent_of_class_count(monkeypatch):
+    four = _step_graph_sizes(monkeypatch, 4)
+    ten = _step_graph_sizes(monkeypatch, 10)
+    assert four == ten
+    assert max(four) <= 70

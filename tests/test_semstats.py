@@ -203,6 +203,13 @@ def test_probit_batch_matches_single():
     for i in range(5):
         single = probit_weak_probs(head, feats[i], cov, 0.03)
         assert np.allclose(batch[i], single)
+    # per-row covariances picked from a stack
+    covs = np.stack([cov, 3.0 * cov, np.eye(4)])
+    classes = np.array([2, 0, 1, 1, 2])
+    rows = probit_weak_probs(head, feats, covs, 0.03, classes=classes)
+    for i in range(5):
+        single = probit_weak_probs(head, feats[i], covs[classes[i]], 0.03)
+        assert np.abs(rows[i] - single).max() <= 1e-15
 
 
 def test_probit_rejects_non_finite():
@@ -261,3 +268,6 @@ def test_pairwise_quadratic_matches_direct():
         for j in range(5):
             u = head[i] - head[j]
             assert abs(q[i, j] - u @ cov @ u) < 1e-10
+    stacked = pairwise_quadratic(head, np.stack([cov, 2.0 * cov]))
+    assert stacked.shape == (2, 5, 5)
+    assert np.abs(stacked[1] - pairwise_quadratic(head, 2.0 * cov)).max() < 1e-12

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,30 @@ def test_gradcheck_composites_100_draws():
         for g_a, g_n in zip(analytic, numeric):
             worst = max(worst, rel_err(g_a, g_n))
     assert worst < 1e-4, f"gradcheck worst relative error {worst}"
+
+
+def test_spent_graph_is_freed_by_reference_counting():
+    # a backward closure that refers back to its own node makes the graph a
+    # cycle, which only the cyclic collector (disabled here) would free
+    rng = np.random.default_rng(3)
+    tensors = [Tensor(rng.standard_normal(s), requires_grad=True)
+               for s in [(3, 4), (5, 2), (4, 2), (2,)]]
+    gc.disable()
+    try:
+        loss = _composite_loss(tensors)
+        interior, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            if node._parents:
+                interior.append(weakref.ref(node))
+                stack.extend(node._parents)
+        loss.backward()
+        del loss, node, stack
+        assert len(interior) > 10
+        assert all(probe() is None for probe in interior)
+        assert all(t.grad is not None for t in tensors)
+    finally:
+        gc.enable()
 
 
 def test_logsumexp_examples():
