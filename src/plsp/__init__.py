@@ -11,16 +11,16 @@ from .pldata import (GenSpec, PLDataset, generate_fps, generate_uss,
                      make_blobs, read_dataset, write_dataset)
 from .model import (ClassifierParams, extract_features, init_classifier,
                     load_checkpoint, save_checkpoint, snapshot_frozen)
-from .semstats import (ClassCovStats, DEFAULT_BETA, SemanticSpec,
-                       probit_weak_probs, sample_semantic,
-                       shifted_softmax_probs, std_normal_cdf, update_cov_stats)
+from .semstats import (ClassCovStats, DEFAULT_BETA, probit_weak_probs,
+                       sample_semantic, shifted_softmax_probs, std_normal_cdf,
+                       update_cov_stats)
 from .objective import (BatchLossReport, PseudoSplit, build_pseudo_split,
                         cav_scores, confidence_indicator, loss_df,
                         loss_complementary_semantic, loss_sup_semantic,
                         mc_oracle_reg, pseudo_target, reg_consistency_semantic,
-                        semantic_batch_loss, total_objective)
-from .trainer import (ScheduleState, TrainConfig, pretrain, schedule_gamma,
-                      schedule_lambda, train_ss, update_tau)
+                        semantic_batch_loss)
+from .trainer import (TrainConfig, pretrain, schedule_gamma, schedule_lambda,
+                      train_ss, update_tau)
 from .evalcli import MetricsRecord, cli_main, macro_micro_f1
 
 __all__ = [
@@ -28,14 +28,13 @@ __all__ = [
     "read_dataset", "write_dataset",
     "ClassifierParams", "extract_features", "init_classifier",
     "load_checkpoint", "save_checkpoint", "snapshot_frozen",
-    "ClassCovStats", "DEFAULT_BETA", "SemanticSpec", "probit_weak_probs",
-    "sample_semantic", "shifted_softmax_probs", "std_normal_cdf",
-    "update_cov_stats",
+    "ClassCovStats", "DEFAULT_BETA", "probit_weak_probs", "sample_semantic",
+    "shifted_softmax_probs", "std_normal_cdf", "update_cov_stats",
     "BatchLossReport", "PseudoSplit", "build_pseudo_split", "cav_scores",
     "confidence_indicator", "loss_df", "loss_complementary_semantic",
     "loss_sup_semantic", "mc_oracle_reg", "pseudo_target",
-    "reg_consistency_semantic", "semantic_batch_loss", "total_objective",
-    "ScheduleState", "TrainConfig", "pretrain", "schedule_gamma",
-    "schedule_lambda", "train_ss", "update_tau",
+    "reg_consistency_semantic", "semantic_batch_loss",
+    "TrainConfig", "pretrain", "schedule_gamma", "schedule_lambda", "train_ss",
+    "update_tau",
     "MetricsRecord", "cli_main", "macro_micro_f1",
 ]

@@ -20,7 +20,8 @@ import numpy as np
 from . import augment, pldata
 from .model import init_classifier, load_checkpoint, save_checkpoint, snapshot_frozen
 from .objective import (LOG_EPS, loss_complementary_semantic, loss_sup_semantic,
-                        mc_oracle_reg, pseudo_target, shifted_log_probs)
+                        mc_oracle_reg, pseudo_target, shifted_log_probs,
+                        weak_cav_pseudo_labels)
 from .semstats import (BETA_PI_SQ_OVER_8, BETA_RELATIVE, BETA_SLOPE_MATCHED,
                        ClassCovStats, DEFAULT_BETA, probit_weak_probs,
                        shifted_softmax_probs, std_normal_cdf, update_cov_stats)
@@ -142,8 +143,7 @@ def check_bound_direction(seed: int = 0, n_instances: int = 50,
         tau = np.full(frozen.n_classes, 0.75)
         est = mc_oracle_reg(params, frozen, stats, x_weak, x_strong, mask,
                             lam, tau, n_samples, rng)
-        sem = int(np.argmax(np.where(
-            mask, _cav(frozen.logits_of(x_weak[None, :])[0]), -np.inf)))
+        sem = int(weak_cav_pseudo_labels(frozen, x_weak[None, :], mask[None, :])[0])
         cov = stats.cov(sem)
         p_w = probit_weak_probs(frozen.head, frozen.features(x_weak[None, :])[0],
                                 cov, lam)
@@ -162,10 +162,6 @@ def check_bound_direction(seed: int = 0, n_instances: int = 50,
         f"{n_instances - failures}/{n_instances} instances, "
         f"min slack {min_slack:.3e} (K={n_samples})",
     )
-
-
-def _cav(z: np.ndarray) -> np.ndarray:
-    return z * np.abs(z - 1.0)
 
 
 def check_lambda_zero(seed: int = 0, n_batches: int = 10,
@@ -273,6 +269,24 @@ def run_verify(seed: int = 0, n_instances: int = 50, mc_samples: int = 1_000_000
 # -- CLI ---------------------------------------------------------------------
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
+_FLAG_ALIASES = {"learning_rate": ("--lr",)}
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"bad boolean {raw!r}")
+    return raw.lower() in ("true", "1", "yes")
+
+
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in raw.split(",") if v.strip())
+
+
+def _value_parser(name: str):
+    """The parser of a TrainConfig field's text value, for flags and config
+    files alike, chosen by the type of the field's default."""
+    parsers = {bool: _parse_bool, int: int, float: float, tuple: _parse_ints}
+    return parsers[type(_CONFIG_FIELDS[name].default)]
 
 
 def parse_config_file(path) -> dict:
@@ -289,23 +303,11 @@ def parse_config_file(path) -> dict:
             key = key.strip()
             if key not in _CONFIG_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce_config_value(key, val.strip())
+            try:
+                values[key] = _value_parser(key)(val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
-
-
-def _coerce_config_value(key: str, raw: str):
-    if key == "hidden_dims":
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if key == "deterministic":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"bad boolean {raw!r} for {key}")
-    if key in ("k", "pretrain_epochs", "ss_epochs", "inner_iters",
-               "batch_labeled", "batch_unlabeled", "seed"):
-        return int(raw)
-    return float(raw)
 
 
 def build_train_config(args) -> TrainConfig:
@@ -316,9 +318,6 @@ def build_train_config(args) -> TrainConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    if "hidden_dims" in values and isinstance(values["hidden_dims"], str):
-        values["hidden_dims"] = tuple(
-            int(v) for v in values["hidden_dims"].split(",") if v.strip())
     return TrainConfig(**values)
 
 
@@ -332,19 +331,23 @@ def _augment_specs(args) -> tuple[augment.AugmentSpec, augment.AugmentSpec]:
     return weak, strong
 
 
-def _write_metrics(path, records: list[dict], summary_key: str = "micro_f1"):
+def _write_metrics(path, records: list[dict]) -> dict:
+    """Write the records and a summary line repeating the best-micro-F1 epoch;
+    return that epoch's fields for the command's stdout summary."""
     lines = [MetricsRecord(**rec) for rec in records]
-    best = max(lines, key=lambda r: getattr(r, summary_key)) if lines else None
+    best = max(lines, key=lambda r: r.micro_f1) if lines else None
     with open(path, "w", encoding="utf-8") as fh:
         for rec in lines:
             fh.write(rec.to_json_line() + "\n")
-        if best is not None:
-            fh.write(dataclasses.replace(best, is_summary=True).to_json_line() + "\n")
-    return best
+        if best is None:
+            return {}
+        fh.write(dataclasses.replace(best, is_summary=True).to_json_line() + "\n")
+    return {"best_epoch": best.epoch, "best_micro_f1": best.micro_f1,
+            "best_macro_f1": best.macro_f1}
 
 
 def _cmd_generate(args) -> int:
-    spec = pldata.GenSpec(strategy=args.strategy, q=args.q, seed=args.seed)
+    spec = pldata.GenSpec(strategy=args.strategy, q=args.q)
     n_total = args.n + (args.n_test if args.test_out else 0)
     blob_rng = augment.derive_rng(args.seed, 11)
     ds = pldata.make_blobs(n_total, args.classes, args.dim, args.separation,
@@ -352,22 +355,17 @@ def _cmd_generate(args) -> int:
     if args.test_out:
         train, test = pldata.stratified_split(ds, args.n_test,
                                               augment.derive_rng(args.seed, 12))
-        test.candidates = _gen_masks(test, spec, augment.derive_rng(args.seed, 14))
+        test.candidates = pldata.generate_candidates(
+            test.truth, test.l, spec, augment.derive_rng(args.seed, 14))
         pldata.write_dataset(args.test_out, test)
     else:
         train = ds
-    train.candidates = _gen_masks(train, spec, augment.derive_rng(args.seed, 13))
+    train.candidates = pldata.generate_candidates(
+        train.truth, train.l, spec, augment.derive_rng(args.seed, 13))
     pldata.write_dataset(args.out, train)
     print(json.dumps({"written": str(args.out), "n": train.n, "l": train.l,
                       "strategy": args.strategy, "q": args.q}))
     return 0
-
-
-def _gen_masks(ds: pldata.PLDataset, spec: pldata.GenSpec,
-               rng: np.random.Generator) -> np.ndarray:
-    if spec.strategy == "uss":
-        return pldata.generate_uss(ds.truth, ds.l, rng)
-    return pldata.generate_fps(ds.truth, ds.l, spec.q, rng)
 
 
 def _cmd_pretrain(args) -> int:
@@ -391,11 +389,8 @@ def _cmd_train(args) -> int:
     _, records = train_ss(ds, params, config, test_ds, weak, strong)
     best = _write_metrics(args.metrics, records)
     save_checkpoint(args.out, params)
-    summary = {"checkpoint": str(args.out), "metrics": str(args.metrics)}
-    if best is not None:
-        summary.update(best_epoch=best.epoch, best_micro_f1=best.micro_f1,
-                       best_macro_f1=best.macro_f1)
-    print(json.dumps(summary))
+    print(json.dumps({"checkpoint": str(args.out), "metrics": str(args.metrics),
+                      **best}))
     return 0
 
 
@@ -411,11 +406,7 @@ def _cmd_df_baseline(args) -> int:
     best = _write_metrics(args.metrics, records)
     if args.out:
         save_checkpoint(args.out, params)
-    summary = {"metrics": str(args.metrics), "epochs": epochs}
-    if best is not None:
-        summary.update(best_epoch=best.epoch, best_micro_f1=best.micro_f1,
-                       best_macro_f1=best.macro_f1)
-    print(json.dumps(summary))
+    print(json.dumps({"metrics": str(args.metrics), "epochs": epochs, **best}))
     return 0
 
 
@@ -471,26 +462,17 @@ def _cmd_sweep_k(args) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--field-name per TrainConfig field (plus --lr); unset flags stay None
+    so config-file values show through."""
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--gamma0", type=float, default=None)
-    p.add_argument("--lambda0", type=float, default=None)
-    p.add_argument("--tau0", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int, default=None)
-    p.add_argument("--ss-epochs", dest="ss_epochs", type=int, default=None)
-    p.add_argument("--inner-iters", dest="inner_iters", type=int, default=None)
-    p.add_argument("--batch-labeled", dest="batch_labeled", type=int, default=None)
-    p.add_argument("--batch-unlabeled", dest="batch_unlabeled", type=int, default=None)
-    p.add_argument("--learning-rate", "--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--tau-floor", dest="tau_floor", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--deterministic", action="store_const", const=True, default=None)
-    p.add_argument("--hidden-dims", dest="hidden_dims", default=None,
-                   help="comma-separated layer widths, e.g. 128,64")
-    p.add_argument("--eig-floor", dest="eig_floor", type=float, default=None)
+    for name in _CONFIG_FIELDS:
+        flags = ["--" + name.replace("_", "-"), *_FLAG_ALIASES.get(name, ())]
+        parse = _value_parser(name)
+        if parse is _parse_bool:
+            p.add_argument(*flags, dest=name, action="store_const", const=True,
+                           default=None)
+        else:
+            p.add_argument(*flags, dest=name, type=parse, default=None)
 
 
 def _add_augment_flags(p: argparse.ArgumentParser) -> None:
@@ -572,8 +554,9 @@ def _error_line(exc: Exception, code: int) -> None:
 
 
 def worker_cap() -> int:
-    """PLSP_THREADS caps the worker count; this implementation is sequential,
-    so any valid cap resolves to one worker."""
+    """Validates PLSP_THREADS (an integer >= 1) and returns 1: the program
+    starts no workers of its own. BLAS threading follows the BLAS library's
+    own variables, such as OPENBLAS_NUM_THREADS."""
     raw = os.environ.get("PLSP_THREADS")
     if raw is not None:
         if int(raw) < 1:
@@ -590,10 +573,7 @@ def cli_main(argv: list[str]) -> int:
     try:
         worker_cap()
         return args.handler(args)
-    except pldata.DatasetFormatError as exc:
-        _error_line(exc, 3)
-        return 3
-    except OSError as exc:
+    except (pldata.DatasetFormatError, OSError) as exc:
         _error_line(exc, 3)
         return 3
     except ValueError as exc:

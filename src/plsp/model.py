@@ -9,11 +9,13 @@ gradients back into training.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .pldata import BadMagicError, BadVersionError, DatasetFormatError, _take
 from .tensorcore import Tensor, softmax
 
 CHECKPOINT_MAGIC = b"PLSW"
@@ -55,10 +57,7 @@ class ClassifierParams:
     # numpy fast paths for evaluation (no graph construction)
 
     def eval_features(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
-        for w, b in self.layers:
-            a = np.maximum(a @ w.data + b.data, 0.0)
-        return a
+        return _relu_stack(x, ((w.data, b.data) for w, b in self.layers))
 
     def eval_logits(self, x: np.ndarray) -> np.ndarray:
         return self.eval_features(x) @ self.head.data.T
@@ -81,6 +80,14 @@ def init_classifier(input_dim: int, hidden_dims: tuple[int, ...], n_classes: int
     return ClassifierParams(layers=layers, head=Tensor(head, requires_grad=True))
 
 
+def _relu_stack(x: np.ndarray, layers) -> np.ndarray:
+    """Numpy forward pass through (weight, bias) array pairs."""
+    a = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
+    for w, b in layers:
+        a = np.maximum(a @ w + b, 0.0)
+    return a
+
+
 def extract_features(params: ClassifierParams, x: np.ndarray) -> Tensor:
     """Differentiable forward pass through the ReLU stack."""
     x = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
@@ -90,12 +97,6 @@ def extract_features(params: ClassifierParams, x: np.ndarray) -> Tensor:
     for w, b in params.layers:
         a = (a @ w + b).relu()
     return a
-
-
-def logits(features: Tensor, head: Tensor) -> Tensor:
-    if features.shape[1] != head.shape[1]:
-        raise ValueError("feature dim does not match head")
-    return features @ head.T
 
 
 class FrozenClassifier:
@@ -110,10 +111,7 @@ class FrozenClassifier:
         return self.head.shape[0]
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
-        for w, b in self.layers:
-            a = np.maximum(a @ w + b, 0.0)
-        return a
+        return _relu_stack(x, self.layers)
 
     def logits_of(self, x: np.ndarray) -> np.ndarray:
         return self.features(x) @ self.head.T
@@ -142,28 +140,37 @@ def save_checkpoint(path, params: ClassifierParams) -> None:
 
 
 def load_checkpoint(path) -> ClassifierParams:
+    """Read a ``save_checkpoint`` file. A bad magic or version, truncation,
+    trailing bytes or layer shapes that do not chain raise DatasetFormatError."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    if buf[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {buf[:4]!r}")
-    version, _flags, count = struct.unpack("<HHI", buf[4:12])
+    chunk, off = _take(buf, 0, 4)
+    if chunk != CHECKPOINT_MAGIC:
+        raise BadMagicError(f"bad checkpoint magic {chunk!r}")
+    chunk, off = _take(buf, off, 8)
+    version, _flags, count = struct.unpack("<HHI", chunk)
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    off = 12
+        raise BadVersionError(f"unsupported checkpoint version {version}")
     arrays = []
     for _ in range(count):
-        (rank,) = struct.unpack("<I", buf[off:off + 4])
-        off += 4
-        dims = struct.unpack(f"<{rank}I", buf[off:off + 4 * rank])
-        off += 4 * rank
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(buf[off:off + 8 * size], dtype="<f8").reshape(dims).copy()
-        off += 8 * size
-        arrays.append(arr)
-    if len(arrays) % 2 != 1:
-        raise ValueError("checkpoint must hold layer pairs plus a head")
-    layers = [
-        (Tensor(arrays[i], requires_grad=True), Tensor(arrays[i + 1], requires_grad=True))
-        for i in range(0, len(arrays) - 1, 2)
-    ]
-    return ClassifierParams(layers=layers, head=Tensor(arrays[-1], requires_grad=True))
+        chunk, off = _take(buf, off, 4)
+        (rank,) = struct.unpack("<I", chunk)
+        chunk, off = _take(buf, off, 4 * rank)
+        dims = struct.unpack(f"<{rank}I", chunk)
+        chunk, off = _take(buf, off, 8 * math.prod(dims))
+        arrays.append(np.frombuffer(chunk, dtype="<f8").reshape(dims).copy())
+    if off != len(buf):
+        raise DatasetFormatError(f"{len(buf) - off} trailing bytes after the arrays")
+    shapes = [a.shape for a in arrays]
+    if len(shapes) % 2 != 1:
+        raise DatasetFormatError("checkpoint must hold layer pairs plus a head")
+    width = None  # the input width is free
+    for w, b in zip(shapes[:-1:2], shapes[1::2]):
+        if len(w) != 2 or width not in (None, w[0]) or b != w[1:]:
+            raise DatasetFormatError(f"layer shapes {w}, {b} do not follow width {width}")
+        width = w[1]
+    if len(shapes[-1]) != 2 or width not in (None, shapes[-1][1]):
+        raise DatasetFormatError(f"head shape {shapes[-1]} does not follow width {width}")
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    return ClassifierParams(layers=list(zip(tensors[:-1:2], tensors[1::2])),
+                            head=tensors[-1])

@@ -387,20 +387,15 @@ def loss_complementary_semantic(params: ClassifierParams, stats: ClassCovStats,
     return loss, clamped
 
 
-def total_objective(loss_sup: Tensor, reg_u: Tensor, loss_cl: Tensor,
-                    gamma: float) -> Tensor:
-    """gamma * (pseudo-supervised + consistency) + complementary."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    return (loss_sup + reg_u) * gamma + loss_cl
-
-
 def assemble_batch(loss_sup: Tensor, reg_u: Tensor, loss_cl: Tensor,
                    gamma: float, n_classes: int,
                    consistency: ConsistencyReport | None = None,
                    clamped: int = 0) -> tuple[Tensor, BatchLossReport]:
-    """Combine the three terms and record their decomposition."""
-    total = total_objective(loss_sup, reg_u, loss_cl, gamma)
+    """gamma * (pseudo-supervised + consistency) + complementary, with the
+    decomposition recorded."""
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    total = (loss_sup + reg_u) * gamma + loss_cl
     report = BatchLossReport(
         loss_sup=float(loss_sup.data),
         reg_u=float(reg_u.data),

@@ -60,27 +60,25 @@ class PLDataset:
     def flat_features(self) -> np.ndarray:
         return self.features.reshape(self.n, -1)
 
-    def validate(self, require_candidates: bool = True) -> None:
+    def validate(self) -> None:
         if self.features.shape[0] != self.candidates.shape[0]:
             raise ValueError("features/candidates row counts differ")
         if self.l < 3:
             raise ValueError("class count must be >= 3")
-        if require_candidates:
-            sizes = self.candidates.sum(axis=1)
-            if np.any(sizes < 1) or np.any(sizes > self.l - 1):
-                raise MaskInvariantError("candidate sets must satisfy 1 <= |C| <= l-1")
-            if self.truth is not None:
-                if np.any(self.truth >= self.l):
-                    raise DatasetFormatError("truth label out of range")
-                if not np.all(self.candidates[np.arange(self.n), self.truth]):
-                    raise MaskInvariantError("truth label missing from a candidate set")
+        sizes = self.candidates.sum(axis=1)
+        if np.any(sizes < 1) or np.any(sizes > self.l - 1):
+            raise MaskInvariantError("candidate sets must satisfy 1 <= |C| <= l-1")
+        if self.truth is not None:
+            if np.any(self.truth >= self.l):
+                raise DatasetFormatError("truth label out of range")
+            if not np.all(self.candidates[np.arange(self.n), self.truth]):
+                raise MaskInvariantError("truth label missing from a candidate set")
 
 
 @dataclass
 class GenSpec:
     strategy: str                 # "uss" | "fps"
     q: float = 0.0                # flip probability, fps only
-    seed: int = 0
 
     def __post_init__(self):
         if self.strategy not in ("uss", "fps"):
@@ -141,8 +139,9 @@ def generate_fps(truth_labels: np.ndarray, l: int, q: float,
     return masks
 
 
-def generate_candidates(truth_labels: np.ndarray, l: int, spec: GenSpec) -> np.ndarray:
-    rng = np.random.default_rng(spec.seed)
+def generate_candidates(truth_labels: np.ndarray, l: int, spec: GenSpec,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Candidate masks by the strategy ``spec`` names."""
     if spec.strategy == "uss":
         return generate_uss(truth_labels, l, rng)
     return generate_fps(truth_labels, l, spec.q, rng)

@@ -15,7 +15,6 @@ with class-conditional covariance Sigma_y. Two closed forms avoid sampling:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -34,21 +33,6 @@ BETA_SLOPE_MATCHED = math.sqrt(math.pi / 8.0)
 BETA_PI_SQ_OVER_8 = math.pi ** 2 / 8.0
 
 _PHI_CLAMP = 1e-12
-
-
-@dataclass
-class SemanticSpec:
-    strength: float = 0.01       # lam, transformation strength
-    beta: float = DEFAULT_BETA   # probit slope
-    eig_floor: float = 0.0       # eigenvalue clamp before sampling
-
-    def __post_init__(self):
-        if self.strength < 0:
-            raise ValueError("strength must be >= 0")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if self.eig_floor < 0:
-            raise ValueError("eig_floor must be >= 0")
 
 
 class ClassCovStats:
@@ -110,11 +94,10 @@ def update_cov_stats(stats: ClassCovStats, features: np.ndarray,
 
 
 def sample_semantic(a: np.ndarray, cov: np.ndarray, lam: float,
-                    rng: np.random.Generator, eig_floor: float = 0.0,
-                    size: int | None = None) -> np.ndarray:
+                    rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw from N(a, lam*cov) via symmetric eigendecomposition.
 
-    Round-off negatives in the spectrum are zeroed (or raised to eig_floor).
+    Round-off negatives in the spectrum are zeroed.
     lam == 0 or cov == 0 returns `a` exactly.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -127,7 +110,7 @@ def sample_semantic(a: np.ndarray, cov: np.ndarray, lam: float,
         out = a.copy() if size is None else np.broadcast_to(a, (size, a.size)).copy()
         return out
     vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
-    vals = np.maximum(vals, eig_floor)
+    vals = np.maximum(vals, 0.0)
     scale = vecs * np.sqrt(lam * vals)
     if size is None:
         return a + scale @ rng.standard_normal(a.size)

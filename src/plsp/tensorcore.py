@@ -3,7 +3,8 @@
 The op set is exactly what the training losses need: matmul, add/sub/mul
 with rank<=2 broadcasting, exp, log, elementwise max against a constant,
 axis sums, transpose, and a fused logsumexp whose backward is the softmax.
-Everything runs single-threaded on numpy, so reductions are deterministic.
+Matrix products go to numpy's BLAS, which may spread them over threads (see
+the README on OPENBLAS_NUM_THREADS); everything else runs in one thread.
 Backward closures hold their parents and constant arrays, never their own
 node, so a graph is acyclic and reference counting frees it as soon as its
 root is dropped.
@@ -70,8 +71,11 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy, never the array itself: __add__ hands one array to both
+            # parents, and a later += on one grad must not change the other
+            self.grad = np.array(grad)
+        else:
+            self.grad += grad
 
     # -- ops ---------------------------------------------------------------
 
@@ -264,10 +268,6 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def parameter(data) -> Tensor:
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
 def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
     """Run backward and return each parameter's gradient (zeros if unused)."""
     for p in params:
@@ -276,15 +276,6 @@ def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
         p.grad = None
     loss.backward()
     return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-
-
-def logsumexp(row: np.ndarray) -> float:
-    """Stable log-sum-exp of a 1-D array; exact for constant rows."""
-    row = np.asarray(row, dtype=np.float64)
-    m = float(row.max())
-    if not np.isfinite(m):
-        return m  # propagates NaN / +-inf
-    return float(m + np.log(np.sum(np.exp(row - m))))
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -333,14 +324,3 @@ class SgdOptimizer:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
-
-
-def sgd_step(params: list[Tensor], grads: list[np.ndarray], config: SgdConfig,
-             velocity: list[np.ndarray]) -> None:
-    """One in-place momentum update over parallel lists."""
-    for p, g, v in zip(params, grads, velocity):
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape}")
-        v *= config.momentum
-        v += g + config.weight_decay * p.data
-        p.data -= config.learning_rate * v

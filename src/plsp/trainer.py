@@ -11,7 +11,7 @@ fewer confident predictions get lower thresholds), clamped to
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class TrainConfig:
     seed: int = 0
     deterministic: bool = False
     hidden_dims: tuple[int, ...] = (128, 64)
-    eig_floor: float = 0.0
 
     def __post_init__(self):
         if not 0.5 < self.tau0 <= 1.0:
@@ -71,15 +70,6 @@ class TrainConfig:
 
     def sgd(self) -> SgdConfig:
         return SgdConfig(self.learning_rate, self.momentum, self.weight_decay)
-
-
-@dataclass
-class ScheduleState:
-    epoch: int
-    gamma: float
-    lam: float
-    tau: np.ndarray
-    sigma: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
 def schedule_gamma(t: int, total: int, gamma0: float) -> float:
@@ -144,56 +134,37 @@ def _log_softmax(params: ClassifierParams, x: np.ndarray):
     return z - z.logsumexp(axis=1, keepdims=True)
 
 
-def _df_epoch(params: ClassifierParams, x: np.ndarray, candidates: np.ndarray,
-              opt: SgdOptimizer, cycler: _Cycler, iters: int, batch: int) -> float:
-    total = 0.0
-    for _ in range(iters):
-        idx = cycler.take(batch)
-        loss, _ = loss_df(_log_softmax(params, x[idx]), candidates[idx])
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        total += float(loss.data)
-    return total / max(iters, 1)
-
-
 def pretrain(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
              epochs: int | None = None, on_epoch=None) -> ClassifierParams:
-    """Disambiguation-free stage: minimize the candidate-averaged negative log
-    over uniformly reshuffled mini-batches. No augmentation."""
+    """Disambiguation-free stage: ``train_df_baseline`` with no test set."""
     epochs = config.pretrain_epochs if epochs is None else epochs
-    if epochs == 0 or config.inner_iters == 0:
-        return params
-    x = ds.flat_features().astype(np.float64)
-    rng = derive_rng(config.seed, _TAG_PRETRAIN)
-    opt = SgdOptimizer(params.parameters(), config.sgd())
-    for t in range(epochs):
-        start = time.perf_counter()
-        cycler = _Cycler(np.arange(ds.n), rng)
-        mean_loss = _df_epoch(params, x, ds.candidates, opt, cycler,
-                              config.inner_iters, config.batch_unlabeled)
-        if on_epoch is not None:
-            on_epoch(_df_metrics(t, mean_loss, params, ds, None,
-                                 time.perf_counter() - start, config))
-    return params
+    return train_df_baseline(ds, params, config, epochs, None, on_epoch)
 
 
 def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
                       epochs: int, test_ds: PLDataset | None = None,
                       on_epoch=None) -> ClassifierParams:
-    """Train with the disambiguation-free loss only, reporting per-epoch
-    metrics; the ablation reference for the full objective."""
+    """Minimize the candidate-averaged negative log over uniformly reshuffled
+    mini-batches, no augmentation, reporting per-epoch metrics to
+    ``on_epoch``. Pre-training and the ablation reference for the full
+    objective."""
     x = ds.flat_features().astype(np.float64)
     rng = derive_rng(config.seed, _TAG_PRETRAIN)
     opt = SgdOptimizer(params.parameters(), config.sgd())
     for t in range(epochs):
         start = time.perf_counter()
         cycler = _Cycler(np.arange(ds.n), rng)
-        mean_loss = _df_epoch(params, x, ds.candidates, opt, cycler,
-                              config.inner_iters, config.batch_unlabeled)
+        total = 0.0
+        for _ in range(config.inner_iters):
+            idx = cycler.take(config.batch_unlabeled)
+            loss, _ = loss_df(_log_softmax(params, x[idx]), ds.candidates[idx])
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            total += float(loss.data)
         if on_epoch is not None:
-            on_epoch(_df_metrics(t, mean_loss, params, ds, test_ds,
-                                 time.perf_counter() - start, config))
+            on_epoch(_df_metrics(t, total / max(config.inner_iters, 1), params,
+                                 ds, test_ds, time.perf_counter() - start, config))
     return params
 
 
@@ -246,18 +217,16 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
     x_flat = ds.flat_features().astype(np.float64)
     x_raw = ds.features.astype(np.float64)
     stats = ClassCovStats(l, params.feature_dim)
-    state = ScheduleState(epoch=0, gamma=0.0, lam=0.0,
-                          tau=np.full(l, config.tau0),
-                          sigma=np.zeros(l, dtype=np.int64))
+    sigma = np.zeros(l, dtype=np.int64)   # confident counts of the last epoch
     opt = SgdOptimizer(params.parameters(), config.sgd())  # fresh momentum
     batch_rng = derive_rng(config.seed, _TAG_BATCH)
 
     for t in range(n_epochs):
         start = time.perf_counter()
-        state.epoch = t
-        state.gamma = schedule_gamma(t, n_epochs, config.gamma0)
-        state.lam = schedule_lambda(t, n_epochs, config.lambda0)
-        state.tau = update_tau(state.sigma, config.tau0, config.tau_floor)
+        gamma = schedule_gamma(t, n_epochs, config.gamma0)
+        lam = schedule_lambda(t, n_epochs, config.lambda0)
+        tau = update_tau(sigma, config.tau0, config.tau_floor)
+        sigma = np.zeros(l, dtype=np.int64)
 
         split = build_pseudo_split(ds, snapshot_frozen(params), config.k)
         split.check(ds, config.k)
@@ -268,7 +237,6 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
         lab_y = np.zeros(ds.n, dtype=np.int64)
         lab_y[split.labeled_idx] = split.labeled_y
 
-        sigma_epoch = np.zeros(l, dtype=np.int64)
         sums = {"loss_sup": 0.0, "reg_u": 0.0, "loss_cl": 0.0, "loss_total": 0.0,
                 "h": 0.0}
         for c in range(config.inner_iters):
@@ -288,19 +256,17 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
 
             total, batch_report = semantic_batch_loss(
                 params, frozen, stats, x_flat[lab], lab_y[lab], x_flat[unl],
-                x_w, x_s, ds.candidates[unl], state.lam, state.tau,
-                state.gamma, config.beta)
+                x_w, x_s, ds.candidates[unl], lam, tau, gamma, config.beta)
             opt.zero_grad()
             total.backward()
             opt.step()
-            sigma_epoch += batch_report.sigma_inc
+            sigma += batch_report.sigma_inc
             sums["h"] += batch_report.h_pass_rate
             sums["loss_sup"] += batch_report.loss_sup
             sums["reg_u"] += batch_report.reg_u
             sums["loss_cl"] += batch_report.loss_cl
             sums["loss_total"] += batch_report.total
 
-        state.sigma = sigma_epoch
         iters = max(config.inner_iters, 1)
         train_macro, train_micro = _evaluate_f1(params, ds)
         test_macro, test_micro = _evaluate_f1(params, test_ds)
@@ -314,7 +280,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
             "macro_f1": test_macro, "micro_f1": test_micro,
             "train_macro_f1": train_macro, "train_micro_f1": train_micro,
             "h_pass_rate": sums["h"] / iters,
-            "tau": [float(v) for v in state.tau],
+            "tau": [float(v) for v in tau],
             "n_labeled": split.n_labeled, "n_unlabeled": split.n_unlabeled,
             "wall_clock_s": 0.0 if config.deterministic else time.perf_counter() - start,
         }

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ from plsp import evalcli
 from plsp.evalcli import (MetricsRecord, _mc_softmax_mean, beta_sup_errors,
                           build_train_config, check_lambda_zero, cli_main,
                           macro_micro_f1, parse_config_file)
-from plsp.tensorcore import softmax
+from plsp.model import ClassifierParams, init_classifier, save_checkpoint
+from plsp.tensorcore import Tensor, softmax
+from plsp.trainer import TrainConfig
 
 
 def brute_force_f1(preds, truths, l):
@@ -123,12 +128,64 @@ def test_cli_flags_override_config_file(tmp_path):
     for f in ("lambda0", "tau0", "k", "pretrain_epochs", "ss_epochs",
               "inner_iters", "batch_labeled", "batch_unlabeled",
               "learning_rate", "momentum", "weight_decay", "beta",
-              "tau_floor", "seed", "deterministic", "hidden_dims",
-              "eig_floor"):
+              "tau_floor", "seed", "deterministic", "hidden_dims"):
         setattr(Args, f, None)
     config = build_train_config(Args)
     assert config.gamma0 == 0.9  # flag wins
     assert config.k == 25        # file value kept
+
+
+# one text value per field type, and what it parses to
+_SAMPLES = {bool: ("true", True), int: ("7", 7), float: ("0.625", 0.625),
+            tuple: ("32,16", (32, 16))}
+
+
+def _train_args(*flags):
+    return evalcli._build_parser().parse_args(
+        ["train", "--data", "d", "--out", "o", "--metrics", "m", *flags])
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(TrainConfig),
+                         ids=lambda f: f.name)
+def test_flag_and_config_file_parse_alike(tmp_path, field):
+    raw, expected = _SAMPLES[type(field.default)]
+    flags = ["--" + field.name.replace("_", "-")]
+    if not isinstance(field.default, bool):
+        flags.append(raw)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{field.name} = {raw}\n", encoding="utf-8")
+    from_flag = getattr(_train_args(*flags), field.name)
+    from_file = parse_config_file(cfg)[field.name]
+    assert from_flag == from_file == expected
+    assert type(from_flag) is type(from_file) is type(field.default)
+    assert (build_train_config(_train_args(*flags))
+            == build_train_config(_train_args("--config", str(cfg))))
+
+
+def test_lr_alias_sets_learning_rate():
+    assert _train_args("--lr", "0.125").learning_rate == 0.125
+
+
+@pytest.mark.parametrize("name,bad", [("k", "abc"), ("learning_rate", "fast"),
+                                      ("hidden_dims", "8,x")])
+def test_bad_config_value_exits_2_as_flag_and_4_in_file(tmp_path, capsys, name, bad):
+    data = tmp_path / "d.plsp"
+    assert _run(["generate", "--out", str(data), "--n", "30", "--classes", "3",
+                 "--seed", "1"]) == 0
+    flag = "--" + name.replace("_", "-")
+    capsys.readouterr()
+    assert _run(["pretrain", "--data", str(data), "--out", str(tmp_path / "o.plsw"),
+                 flag, bad]) == 2
+    assert flag in capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{name} = {bad}\n", encoding="utf-8")
+    assert _run(["pretrain", "--data", str(data), "--out", str(tmp_path / "o.plsw"),
+                 "--config", str(cfg)]) == 4
+    assert name in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_removed_eig_floor_flag_exits_2():
+    assert _run(["pretrain", "--data", "d", "--out", "o", "--eig-floor", "0.1"]) == 2
 
 
 def test_beta_report_contains_candidates():
@@ -275,3 +332,68 @@ def test_cli_verify_small_run(capsys):
     assert code == 0, out
     assert out.count("PASS") == 3
     assert "beta-sup-error" in out
+
+
+# -- corrupt checkpoints ---------------------------------------------------------
+
+def _checkpoint_boundaries(buf: bytes) -> list[int]:
+    """Offsets that end the header and each array's rank, dims and data."""
+    (count,) = struct.unpack("<I", buf[8:12])
+    cuts, off = [4, 12], 12
+    for _ in range(count):
+        (rank,) = struct.unpack("<I", buf[off:off + 4])
+        dims = struct.unpack(f"<{rank}I", buf[off + 4:off + 4 + 4 * rank])
+        off += 4 + 4 * rank
+        cuts += [off - 4 * rank, off, off + 8 * math.prod(dims)]
+        off += 8 * math.prod(dims)
+    assert off == len(buf)
+    return cuts
+
+
+@pytest.fixture
+def eval_files(tmp_path):
+    data = tmp_path / "d.plsp"
+    assert _run(["generate", "--out", str(data), "--n", "30", "--classes", "3",
+                 "--seed", "1"]) == 0
+    ckpt = tmp_path / "m.plsw"
+    save_checkpoint(ckpt, init_classifier(2, (4, 3), 3, np.random.default_rng(0)))
+    return ckpt, data
+
+
+def _eval(ckpt, data) -> int:
+    return _run(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+
+
+def test_cli_eval_exit_3_on_truncated_checkpoint(eval_files, capsys):
+    ckpt, data = eval_files
+    buf = ckpt.read_bytes()
+    assert _eval(ckpt, data) == 0
+    for cut in [0, *_checkpoint_boundaries(buf)[:-1]]:
+        ckpt.write_bytes(buf[:cut])
+        assert _eval(ckpt, data) == 3, cut
+    capsys.readouterr()
+
+
+def test_cli_eval_exit_3_on_trailing_byte_or_bad_magic(eval_files, capsys):
+    ckpt, data = eval_files
+    buf = ckpt.read_bytes()
+    ckpt.write_bytes(buf + b"\0")
+    assert _eval(ckpt, data) == 3
+    ckpt.write_bytes(b"NOPE" + buf[4:])
+    assert _eval(ckpt, data) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 4), (4,), (5, 3), (3,), (3, 3)],   # second layer's input is not 4
+    [(2, 4), (3,), (3, 4)],                 # bias does not match its weight
+    [(2, 4), (4,), (3, 5)],                 # head width is not the last output
+    [(2, 4), (4,), (12,)],                  # head is not a matrix
+], ids=["layer-input", "bias", "head-width", "head-rank"])
+def test_cli_eval_exit_3_on_broken_shape_chain(eval_files, capsys, shapes):
+    ckpt, data = eval_files
+    arrays = [Tensor(np.zeros(shape)) for shape in shapes]
+    save_checkpoint(ckpt, ClassifierParams(
+        layers=list(zip(arrays[:-1:2], arrays[1::2])), head=arrays[-1]))
+    assert _eval(ckpt, data) == 3
+    capsys.readouterr()

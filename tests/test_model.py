@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from plsp.model import (ClassifierParams, extract_features, init_classifier,
-                        load_checkpoint, logits, save_checkpoint,
-                        snapshot_frozen)
+                        load_checkpoint, save_checkpoint, snapshot_frozen)
 from plsp.tensorcore import Tensor, gradients, softmax
 
 
@@ -78,13 +77,6 @@ def test_softmax_shift_invariance():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((5, 4))
     assert np.abs(softmax(z) - softmax(z + 7.3)).max() < 1e-12
-
-
-def test_logits_shape_check():
-    params = _zero_model()
-    feats = extract_features(params, np.ones((1, 3)))
-    with pytest.raises(ValueError):
-        logits(feats, Tensor(np.zeros((3, 7))))
 
 
 def test_input_shape_check():

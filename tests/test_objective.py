@@ -5,12 +5,12 @@ import pytest
 
 from plsp.model import (ClassifierParams, extract_features, init_classifier,
                         snapshot_frozen)
-from plsp.objective import (DegenerateMassError, LOG_EPS, build_pseudo_split,
-                            cav_scores, confidence_indicator, loss_df,
-                            loss_complementary_semantic, loss_sup_semantic,
+from plsp.objective import (DegenerateMassError, LOG_EPS, assemble_batch,
+                            build_pseudo_split, cav_scores, confidence_indicator,
+                            loss_df, loss_complementary_semantic, loss_sup_semantic,
                             masked_argmax, mc_oracle_reg, pseudo_target,
                             reg_consistency_semantic, shifted_log_probs,
-                            total_objective, weak_cav_pseudo_labels)
+                            weak_cav_pseudo_labels)
 from plsp.pldata import PLDataset, generate_uss
 from plsp.semstats import ClassCovStats, update_cov_stats
 from plsp.tensorcore import Tensor, gradients, softmax
@@ -446,26 +446,26 @@ def test_mc_oracle_strong_ce_bounded_by_closed_form():
 # -- total objective ------------------------------------------------------------------------
 
 def test_total_objective_gamma_zero():
-    total = total_objective(Tensor(0.5), Tensor(0.25), Tensor(0.1), 0.0)
+    total, _ = assemble_batch(Tensor(0.5), Tensor(0.25), Tensor(0.1), 0.0, 3)
     assert float(total.data) == 0.1
 
 
 def test_total_objective_hand_case():
-    total = total_objective(Tensor(0.5), Tensor(0.25), Tensor(0.1), 1.0)
+    total, _ = assemble_batch(Tensor(0.5), Tensor(0.25), Tensor(0.1), 1.0, 3)
     assert abs(float(total.data) - 0.85) < 1e-12
 
 
 def test_total_objective_linearity_in_gamma():
     ls, ru, lcl = Tensor(0.4), Tensor(0.3), Tensor(0.2)
     g = 0.37
-    t1 = float(total_objective(ls, ru, lcl, g).data)
-    t2 = float(total_objective(ls, ru, lcl, 2 * g).data)
+    t1 = float(assemble_batch(ls, ru, lcl, g, 3)[0].data)
+    t2 = float(assemble_batch(ls, ru, lcl, 2 * g, 3)[0].data)
     assert abs((t2 - t1) - g * (0.4 + 0.3)) < 1e-12
 
 
 def test_total_objective_rejects_negative_gamma():
     with pytest.raises(ValueError):
-        total_objective(Tensor(0.0), Tensor(0.0), Tensor(0.0), -1.0)
+        assemble_batch(Tensor(0.0), Tensor(0.0), Tensor(0.0), -1.0, 3)
 
 
 def test_decomposition_reassembles():
@@ -486,7 +486,7 @@ def test_decomposition_reassembles():
     ru, rep = reg_consistency_semantic(params, frozen, stats, xw, xs, mask,
                                        lam, tau, sem_labels=sem)
     lcl, _ = loss_complementary_semantic(params, stats, x, mask, sem, lam)
-    total = total_objective(ls, ru, lcl, gamma)
+    total, _ = assemble_batch(ls, ru, lcl, gamma, 3)
     expect = gamma * (float(ls.data) + float(ru.data)) + float(lcl.data)
     assert abs(float(total.data) - expect) < 1e-12
     assert all(np.isfinite(v) for v in

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plsp.semstats import (BETA_RELATIVE, ClassCovStats, DEFAULT_BETA,
-                           SemanticSpec, pairwise_quadratic, probit_weak_probs,
+                           pairwise_quadratic, probit_weak_probs,
                            sample_semantic, shifted_softmax_probs,
                            std_normal_cdf, update_cov_stats)
 from plsp.tensorcore import softmax
@@ -102,15 +102,6 @@ def test_sample_rejects_asymmetric():
     with pytest.raises(ValueError):
         sample_semantic(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0,
                         np.random.default_rng(0))
-
-
-def test_semantic_spec_validation():
-    with pytest.raises(ValueError):
-        SemanticSpec(strength=-0.1)
-    with pytest.raises(ValueError):
-        SemanticSpec(beta=0.0)
-    with pytest.raises(ValueError):
-        SemanticSpec(eig_floor=-1.0)
 
 
 # -- normal cdf ------------------------------------------------------------------
