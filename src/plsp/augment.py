@@ -4,6 +4,12 @@ Image grids (H, W, Ch) get flip / pad-and-crop, with an extra cutout square
 on the strong branch. Flat vectors get gaussian jitter, with larger jitter
 plus bernoulli feature masking on the strong branch. Both pipelines preserve
 shape and are deterministic given the generator handed in.
+
+Both branches work on a whole batch at once, with no per-instance loop, and a
+batch makes a fixed number of vector draws whatever its values: an image batch
+draws its flip flags, then its crop offsets, then (strong only) its cutout
+centres; a flat batch draws its jitter, then (strong only) its mask. A single
+instance is a batch of one.
 """
 
 from __future__ import annotations
@@ -48,68 +54,61 @@ def strong_spec(**overrides) -> AugmentSpec:
     return AugmentSpec(kind="strong", **overrides)
 
 
-def _flip_and_crop(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
-    h, w = x.shape[:2]
-    out = x
-    if rng.random() < spec.flip_prob:
-        out = out[:, ::-1]
-    if spec.pad > 0:
-        padded = np.zeros((h + 2 * spec.pad, w + 2 * spec.pad) + x.shape[2:], dtype=x.dtype)
-        padded[spec.pad:spec.pad + h, spec.pad:spec.pad + w] = out
-        top = rng.integers(0, 2 * spec.pad + 1)
-        left = rng.integers(0, 2 * spec.pad + 1)
-        out = padded[top:top + h, left:left + w]
-    return np.ascontiguousarray(out)
+def _augment_images(xs: np.ndarray, pad: int, flips: np.ndarray, offsets: np.ndarray,
+                    size: int = 0, centres: np.ndarray | None = None) -> np.ndarray:
+    """Flip, zero-pad and crop a batch of grids (n, H, W, ...) given its draws.
 
-
-def _cutout(x: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    if size <= 0:
-        return x
-    h, w = x.shape[:2]
-    if size > min(h, w):
-        raise ValueError("cutout_size exceeds grid")
-    cy = int(rng.integers(0, h))
-    cx = int(rng.integers(0, w))
-    top = max(0, cy - size // 2)
-    left = max(0, cx - size // 2)
-    out = x.copy()
-    out[top:min(h, top + size), left:min(w, left + size)] = 0.0
+    ``flips`` (n,) mirrors the columns; ``offsets`` (n, 2) is each crop's (top,
+    left) in the grid padded by ``pad``; ``centres`` (n, 2) places each ``size``
+    cutout square at max(0, centre - size // 2), clipped to the grid. One pad,
+    one gather and one mask serve the whole batch.
+    """
+    n, h, w = xs.shape[:3]
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad) + xs.shape[3:], dtype=xs.dtype)
+    padded[:, pad:pad + h, pad:pad + w] = xs
+    rows = offsets[:, :1] + np.arange(h)
+    cols = offsets[:, 1:] + np.arange(w)
+    # a flipped grid, padded and cropped at `left`, reads the padded original mirrored
+    cols = np.where(flips[:, None], w + 2 * pad - 1 - cols, cols)
+    out = padded[np.arange(n)[:, None, None], rows[:, :, None], cols[:, None, :]]
+    if size > 0:
+        corner = np.maximum(centres - size // 2, 0)
+        in_rows = (np.arange(h) >= corner[:, :1]) & (np.arange(h) < corner[:, :1] + size)
+        in_cols = (np.arange(w) >= corner[:, 1:]) & (np.arange(w) < corner[:, 1:] + size)
+        out[in_rows[:, :, None] & in_cols[:, None, :]] = 0.0
     return out
 
 
-def weak(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim >= 2:
-        return _flip_and_crop(x, spec, rng)
-    return x + rng.standard_normal(x.shape) * spec.vector_jitter_sigma
-
-
-def strong(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim >= 2:
-        out = _flip_and_crop(x, spec, rng)
-        size = spec.cutout_size
-        if size is None:
-            size = min(x.shape[0], x.shape[1]) // 4
-        return _cutout(out, size, rng)
-    out = x + rng.standard_normal(x.shape) * spec.vector_jitter_sigma
-    if spec.vector_mask_prob > 0:
-        out = np.where(rng.random(x.shape) < spec.vector_mask_prob, 0.0, out)
-    return out
+def _draw_flip_crop(n: int, spec: AugmentSpec, rng: np.random.Generator):
+    return rng.random(n) < spec.flip_prob, rng.integers(0, 2 * spec.pad + 1, size=(n, 2))
 
 
 def weak_batch(xs: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
     xs = np.asarray(xs)
-    if xs.ndim == 2:  # flat vectors, one vectorized draw
+    if xs.ndim < 3:  # flat vectors
         return xs + rng.standard_normal(xs.shape) * spec.vector_jitter_sigma
-    return np.stack([weak(x, spec, rng) for x in xs])
+    return _augment_images(xs, spec.pad, *_draw_flip_crop(len(xs), spec, rng))
 
 
 def strong_batch(xs: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
     xs = np.asarray(xs)
-    if xs.ndim == 2:
+    if xs.ndim < 3:
         out = xs + rng.standard_normal(xs.shape) * spec.vector_jitter_sigma
         if spec.vector_mask_prob > 0:
             out = np.where(rng.random(xs.shape) < spec.vector_mask_prob, 0.0, out)
         return out
-    return np.stack([strong(x, spec, rng) for x in xs])
+    n, h, w = xs.shape[:3]
+    size = min(h, w) // 4 if spec.cutout_size is None else spec.cutout_size
+    if size > min(h, w):
+        raise ValueError("cutout_size exceeds grid")
+    flips, offsets = _draw_flip_crop(n, spec, rng)
+    centres = rng.integers(0, (h, w), size=(n, 2))
+    return _augment_images(xs, spec.pad, flips, offsets, size, centres)
+
+
+def weak(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
+    return weak_batch(np.asarray(x)[None], spec, rng)[0]
+
+
+def strong(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
+    return strong_batch(np.asarray(x)[None], spec, rng)[0]

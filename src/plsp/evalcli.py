@@ -68,6 +68,8 @@ class MetricsRecord:
     train_macro_f1: float = 0.0
     train_micro_f1: float = 0.0
     h_pass_rate: float = 0.0
+    clamped: int = 0            # log-clamp events, summed over the epoch
+    skipped: int = 0            # degenerate-mass instances, summed over the epoch
     tau: list[float] = field(default_factory=list)
     n_labeled: int = 0
     n_unlabeled: int = 0

@@ -9,6 +9,7 @@ this by rejection.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -271,20 +272,20 @@ def read_dataset(path) -> PLDataset:
     (rank,) = struct.unpack("<I", chunk)
     chunk, off = _take(buf, off, 4 * rank)
     dims = struct.unpack(f"<{rank}I", chunk) if rank else ()
-    feat_count = n * int(np.prod(dims, dtype=np.int64)) if rank else n
-    chunk, off = _take(buf, off, 4 * feat_count)
+    chunk, off = _take(buf, off, 4 * n * math.prod(dims))
     features = np.frombuffer(chunk, dtype="<f4").reshape((n, *dims)).copy()
     words_per_row = (l + 63) // 64
     chunk, off = _take(buf, off, 8 * n * words_per_row)
     words = np.frombuffer(chunk, dtype="<u8").reshape(n, words_per_row)
-    for j in range(l, words_per_row * 64):
-        if np.any((words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)):
-            raise MaskInvariantError(f"stray candidate bit at position {j} >= l")
+    if l % 64 and np.any(words[:, -1] >> np.uint64(l % 64)):
+        raise MaskInvariantError("stray candidate bit at a position >= l")
     candidates = _unpack_masks(words, l)
     truth = None
     if flags & _FLAG_TRUTH:
         chunk, off = _take(buf, off, 4 * n)
         truth = np.frombuffer(chunk, dtype="<u4").copy()
+    if off != len(buf):
+        raise DatasetFormatError(f"{len(buf) - off} trailing bytes after the payload")
     ds = PLDataset(features=features, candidates=candidates, truth=truth)
     ds.validate()
     return ds

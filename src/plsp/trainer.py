@@ -155,15 +155,17 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
         start = time.perf_counter()
         cycler = _Cycler(np.arange(ds.n), rng)
         total = 0.0
+        clamped = 0
         for _ in range(config.inner_iters):
             idx = cycler.take(config.batch_unlabeled)
-            loss, _ = loss_df(_log_softmax(params, x[idx]), ds.candidates[idx])
+            loss, batch_clamped = loss_df(_log_softmax(params, x[idx]), ds.candidates[idx])
             opt.zero_grad()
             loss.backward()
             opt.step()
             total += float(loss.data)
+            clamped += batch_clamped
         if on_epoch is not None:
-            on_epoch(_df_metrics(t, total / max(config.inner_iters, 1), params,
+            on_epoch(_df_metrics(t, total / max(config.inner_iters, 1), clamped, params,
                                  ds, test_ds, time.perf_counter() - start, config))
     return params
 
@@ -176,7 +178,7 @@ def _evaluate_f1(params: ClassifierParams, ds: PLDataset | None) -> tuple[float,
     return macro_micro_f1(preds, ds.truth, ds.l)
 
 
-def _df_metrics(epoch: int, mean_loss: float, params: ClassifierParams,
+def _df_metrics(epoch: int, mean_loss: float, clamped: int, params: ClassifierParams,
                 ds: PLDataset, test_ds: PLDataset | None, seconds: float,
                 config: TrainConfig) -> dict:
     train_macro, train_micro = _evaluate_f1(params, ds)
@@ -187,7 +189,7 @@ def _df_metrics(epoch: int, mean_loss: float, params: ClassifierParams,
         "loss_total": mean_loss,
         "macro_f1": test_macro, "micro_f1": test_micro,
         "train_macro_f1": train_macro, "train_micro_f1": train_micro,
-        "h_pass_rate": 0.0, "tau": [],
+        "h_pass_rate": 0.0, "clamped": clamped, "skipped": 0, "tau": [],
         "n_labeled": 0, "n_unlabeled": 0,
         "wall_clock_s": 0.0 if config.deterministic else seconds,
     }
@@ -238,7 +240,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
         lab_y[split.labeled_idx] = split.labeled_y
 
         sums = {"loss_sup": 0.0, "reg_u": 0.0, "loss_cl": 0.0, "loss_total": 0.0,
-                "h": 0.0}
+                "h": 0.0, "clamped": 0, "skipped": 0}
         for c in range(config.inner_iters):
             lab = _draw_batch(split.labeled_idx, config.batch_labeled,
                               lab_cycler, batch_rng)
@@ -266,6 +268,8 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
             sums["reg_u"] += batch_report.reg_u
             sums["loss_cl"] += batch_report.loss_cl
             sums["loss_total"] += batch_report.total
+            sums["clamped"] += batch_report.clamped
+            sums["skipped"] += batch_report.skipped
 
         iters = max(config.inner_iters, 1)
         train_macro, train_micro = _evaluate_f1(params, ds)
@@ -280,6 +284,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
             "macro_f1": test_macro, "micro_f1": test_micro,
             "train_macro_f1": train_macro, "train_micro_f1": train_micro,
             "h_pass_rate": sums["h"] / iters,
+            "clamped": sums["clamped"], "skipped": sums["skipped"],
             "tau": [float(v) for v in tau],
             "n_labeled": split.n_labeled, "n_unlabeled": split.n_unlabeled,
             "wall_clock_s": 0.0 if config.deterministic else time.perf_counter() - start,

@@ -274,6 +274,8 @@ def test_cli_deterministic_metrics_bytes(tmp_path):
                      "--hidden-dims", "10,5"]) == 0
         payloads.append(metrics.read_bytes())
     assert payloads[0] == payloads[1]
+    for rec in map(json.loads, payloads[0].decode().splitlines()):
+        assert {"clamped", "skipped"} <= rec.keys()
 
 
 def test_cli_exit_code_2_on_unknown_flag():
@@ -396,4 +398,23 @@ def test_cli_eval_exit_3_on_broken_shape_chain(eval_files, capsys, shapes):
     save_checkpoint(ckpt, ClassifierParams(
         layers=list(zip(arrays[:-1:2], arrays[1::2])), head=arrays[-1]))
     assert _eval(ckpt, data) == 3
+    capsys.readouterr()
+
+
+def _wrapping_dims_dataset() -> bytes:
+    """A .plsp header whose dims (2^31, 2^31, 4) multiply to 2^64, which is
+    0 in wrapping 64-bit arithmetic, followed by a few bytes."""
+    dims = (2**31, 2**31, 4)
+    return (b"PLSP" + struct.pack("<HHQI", 1, 0, 2, 3) + struct.pack("<I", len(dims))
+            + struct.pack("<3I", *dims) + b"\0" * 32)
+
+
+@pytest.mark.parametrize("corrupt", ["trailing-byte", "wrapping-dims"])
+def test_cli_exit_3_on_dataset_breaking_its_framing(eval_files, tmp_path, capsys, corrupt):
+    ckpt, data = eval_files
+    buf = data.read_bytes()
+    data.write_bytes(buf + b"\0" if corrupt == "trailing-byte" else _wrapping_dims_dataset())
+    assert _eval(ckpt, data) == 3
+    assert _run(["pretrain", "--data", str(data), "--out", str(tmp_path / "o.plsw"),
+                 "--pretrain-epochs", "1", "--inner-iters", "1"]) == 3
     capsys.readouterr()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from plsp.pldata import (BadMagicError, BadVersionError, GenSpec,
+from plsp.pldata import (BadMagicError, BadVersionError, DatasetFormatError, GenSpec,
                          MaskInvariantError, PLDataset, TruncatedPayloadError,
                          generate_fps, generate_uss, make_blobs, read_dataset,
                          stratified_split, write_dataset)
@@ -294,6 +294,33 @@ def test_stray_bit_rejected(tmp_path):
     raw[_mask_word_offset()] |= 0b1000  # bit 3 >= l=3
     p.write_bytes(bytes(raw))
     with pytest.raises(MaskInvariantError):
+        read_dataset(p)
+
+
+def test_stray_bit_in_last_mask_word_rejected(tmp_path):
+    rng = np.random.default_rng(3)
+    for l in (63, 65, 100, 128):
+        truth = rng.integers(0, l, size=4)
+        ds = PLDataset(features=rng.standard_normal((4, 2)).astype(np.float32),
+                       candidates=np.eye(l, dtype=bool)[truth], truth=truth)
+        p = tmp_path / f"x{l}.plsp"
+        write_dataset(p, ds)
+        assert np.array_equal(read_dataset(p).candidates, ds.candidates)
+        if l % 64 == 0:
+            continue
+        raw = bytearray(p.read_bytes())
+        last_word = _mask_word_offset(n=4) + 8 * ((l + 63) // 64 - 1)
+        raw[last_word + 7] |= 0x80  # bit 63 of the last word lies at or past l
+        p.write_bytes(bytes(raw))
+        with pytest.raises(MaskInvariantError):
+            read_dataset(p)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    p = tmp_path / "x.plsp"
+    write_dataset(p, _tiny_dataset())
+    p.write_bytes(p.read_bytes() + b"\0")
+    with pytest.raises(DatasetFormatError, match="trailing"):
         read_dataset(p)
 
 

@@ -240,6 +240,33 @@ def test_metrics_records_have_expected_keys():
     assert MetricsRecord.from_json_line(line) == rec
 
 
+def test_records_carry_clamp_and_skip_counts():
+    ds = _blob_pl_dataset(n=40, seed=10)
+    config = _tiny_config(ss_epochs=2)
+    params = new_classifier(ds, config)
+    df_records = []
+    train_df_baseline(ds, params, config, 2, ds, df_records.append)
+    _, ss_records = train_ss(ds, params, config, test_ds=ds)
+    for rec in df_records + ss_records:
+        assert type(rec["clamped"]) is int and rec["clamped"] >= 0
+        assert type(rec["skipped"]) is int and rec["skipped"] >= 0
+    assert all(rec["skipped"] == 0 for rec in df_records)
+
+
+def test_saturated_model_reports_clamps():
+    """A head scaled far out drives candidate log-probabilities below the
+    clamp; with a zero learning rate every epoch stays saturated."""
+    ds = _blob_pl_dataset(n=40, seed=12)
+    config = _tiny_config(ss_epochs=2, learning_rate=0.0, gamma0=1.0)
+    params = new_classifier(ds, config)
+    params.head.data *= 60.0
+    df_records = []
+    train_df_baseline(ds, params, config, 1, None, df_records.append)
+    _, ss_records = train_ss(ds, params, config)
+    assert df_records[0]["clamped"] > 0
+    assert all(rec["clamped"] > 0 for rec in ss_records)
+
+
 def test_df_baseline_trains_and_reports():
     ds = _blob_pl_dataset(n=80, seed=11)
     config = _tiny_config()
