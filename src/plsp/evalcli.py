@@ -77,7 +77,9 @@ class MetricsRecord:
     is_summary: bool = False
 
     def to_json_line(self) -> str:
-        return json.dumps(dataclasses.asdict(self))
+        """Raises ValueError on a NaN or infinite field: JSON has no token
+        for either."""
+        return json.dumps(dataclasses.asdict(self), allow_nan=False)
 
     @classmethod
     def from_json_line(cls, line: str) -> "MetricsRecord":
@@ -134,7 +136,8 @@ def _random_case(rng: np.random.Generator, l: int = 3, d_f: int = 8,
 def check_bound_direction(seed: int = 0, n_instances: int = 50,
                           n_samples: int = 2000) -> CheckResult:
     """The shifted-softmax cross-entropy term must sit above the sampled
-    strong-branch estimate minus 3 standard errors, for every instance."""
+    strong-branch estimate minus 3 standard errors, for every instance. A
+    non-finite slack fails its instance."""
     rng = np.random.default_rng(seed)
     lams = [0.01, 0.05, 0.1]
     failures = 0
@@ -155,8 +158,8 @@ def check_bound_direction(seed: int = 0, n_instances: int = 50,
         closed_ce = float(-target @ np.maximum(np.log(np.maximum(p_s, 1e-300)),
                                                LOG_EPS))
         slack = closed_ce - (est.strong_ce - 3.0 * est.strong_ce_se)
-        min_slack = min(min_slack, slack)
-        if slack < 0:
+        min_slack = np.minimum(min_slack, slack)  # np.minimum keeps a NaN
+        if not (np.isfinite(slack) and slack >= 0):
             failures += 1
     return CheckResult(
         "bound-direction",
@@ -169,7 +172,7 @@ def check_bound_direction(seed: int = 0, n_instances: int = 50,
 def check_lambda_zero(seed: int = 0, n_batches: int = 10,
                       tol: float = 1e-9) -> CheckResult:
     """At zero transformation strength every semantic term must match its
-    plain-softmax counterpart."""
+    plain-softmax counterpart. A non-finite deviation fails the check."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_batches):
@@ -185,25 +188,27 @@ def check_lambda_zero(seed: int = 0, n_batches: int = 10,
         logp_ref = np.log(softmax(params.eval_logits(x), axis=1))
         sup, _ = loss_sup_semantic(params, stats, x, y, 0.0)
         ref_sup = float(np.mean(-logp_ref[np.arange(b), y]))
-        worst = max(worst, abs(float(sup.data) - ref_sup))
+        # np.maximum keeps a NaN, which then fails `worst <= tol`
+        worst = np.maximum(worst, abs(float(sup.data) - ref_sup))
 
         comp, _ = loss_complementary_semantic(params, stats, x, masks, y, 0.0)
         probs = np.exp(logp_ref)
         ref_comp = float(np.mean(np.sum(
             np.where(~masks, -np.log(np.maximum(1 - probs, 1e-12)), 0.0), axis=1)))
-        worst = max(worst, abs(float(comp.data) - ref_comp))
+        worst = np.maximum(worst, abs(float(comp.data) - ref_comp))
 
         from .model import extract_features
         log_ps = shifted_log_probs(params.head, extract_features(params, x),
                                    stats.cov(0), 0.0)
-        worst = max(worst, float(np.abs(log_ps.data - logp_ref).max()))
-    return CheckResult("lambda-zero-reduction", worst <= tol,
+        worst = np.maximum(worst, float(np.abs(log_ps.data - logp_ref).max()))
+    return CheckResult("lambda-zero-reduction", bool(worst <= tol),
                        f"max deviation {worst:.3e} (tol {tol:g})")
 
 
 MAX_CHECK_MARGIN = 1.5
 # Rows per block of Monte-Carlo draws: bounds the check's memory at a few MB
-# whatever the sample count.
+# (the (rows, d) block of normals plus an (l, rows) block of logits) whatever
+# the sample count.
 MC_CHUNK_ROWS = 65_536
 
 
@@ -211,12 +216,23 @@ def _mc_softmax_mean(a: np.ndarray, chol: np.ndarray, head: np.ndarray,
                      n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Mean of softmax(head @ (a + chol @ e)) over ``n_samples`` standard
     normal draws e, taken in blocks of MC_CHUNK_ROWS rows. The blocks consume
-    the generator in the same order as one (n_samples, d) draw."""
+    the generator in the same order as one (n_samples, d) draw.
+
+    The logits come from the normals in one product with the (l, d) matrix
+    head @ chol, laid out class-major as (l, rows), so the softmax's max, exp
+    and sum over the l classes are whole-row operations and each block's
+    column sum is one mat-vec. Drawing the normals is most of the cost.
+    """
+    w = head @ chol
+    z0 = (head @ a)[:, None]
     total = np.zeros(head.shape[0])
     for start in range(0, n_samples, MC_CHUNK_ROWS):
         rows = min(MC_CHUNK_ROWS, n_samples - start)
-        draws = a + rng.standard_normal((rows, a.size)) @ chol.T
-        total += softmax(draws @ head.T, axis=1).sum(axis=0)
+        z = w @ rng.standard_normal((rows, a.size)).T
+        z += z0
+        z -= z.max(axis=0)
+        np.exp(z, out=z)
+        total += z @ (1.0 / z.sum(axis=0))
     return total / n_samples
 
 
@@ -228,7 +244,8 @@ def check_weak_branch(seed: int = 0, n_samples: int = 1_000_000,
     cases at strengths 0.01 and 0.05. Pairwise logit margins are capped at
     MAX_CHECK_MARGIN: that is the ambiguous-instance regime the weak branch
     feeds on, and beyond it the gaussian-vs-logistic tail ratio makes a flat
-    relative budget unachievable for any slope.
+    relative budget unachievable for any slope. A non-finite error fails
+    the check.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -246,14 +263,19 @@ def check_weak_branch(seed: int = 0, n_samples: int = 1_000_000,
         chol = np.linalg.cholesky(lam * cov + 1e-15 * np.eye(d_f))
         p_mc = _mc_softmax_mean(a, chol, head, n_samples, rng)
         p_cf = probit_weak_probs(head, a, cov, lam, BETA_RELATIVE)
-        worst = max(worst, float((np.abs(p_cf - p_mc) / p_mc).max()))
-    return CheckResult("weak-branch-mc", worst <= rel_tol,
+        # np.maximum keeps a NaN, which then fails `worst <= rel_tol`
+        worst = np.maximum(worst, float((np.abs(p_cf - p_mc) / p_mc).max()))
+    return CheckResult("weak-branch-mc", bool(worst <= rel_tol),
                        f"max per-coordinate rel err {worst:.4f} "
                        f"(tol {rel_tol:g}, beta={BETA_RELATIVE}, K={n_samples})")
 
 
 def run_verify(seed: int = 0, n_instances: int = 50, mc_samples: int = 1_000_000,
                bound_samples: int = 2000, out=None) -> bool:
+    if n_instances < 1:
+        raise ValueError("need n_instances >= 1")
+    if mc_samples < 1:
+        raise ValueError("need mc_samples >= 1")
     out = out if out is not None else sys.stdout
     results = [
         check_bound_direction(seed, n_instances, bound_samples),
@@ -335,15 +357,18 @@ def _augment_specs(args) -> tuple[augment.AugmentSpec, augment.AugmentSpec]:
 
 def _write_metrics(path, records: list[dict]) -> dict:
     """Write the records and a summary line repeating the best-micro-F1 epoch;
-    return that epoch's fields for the command's stdout summary."""
-    lines = [MetricsRecord(**rec) for rec in records]
-    best = max(lines, key=lambda r: r.micro_f1) if lines else None
+    return that epoch's fields for the command's stdout summary. Every line
+    is serialised before the file is opened, so a record that cannot be
+    written (a non-finite value) raises ValueError and leaves the file as it
+    was."""
+    recs = [MetricsRecord(**rec) for rec in records]
+    best = max(recs, key=lambda r: r.micro_f1) if recs else None
+    summary = [] if best is None else [dataclasses.replace(best, is_summary=True)]
+    lines = [rec.to_json_line() + "\n" for rec in recs + summary]
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in lines:
-            fh.write(rec.to_json_line() + "\n")
-        if best is None:
-            return {}
-        fh.write(dataclasses.replace(best, is_summary=True).to_json_line() + "\n")
+        fh.writelines(lines)
+    if best is None:
+        return {}
     return {"best_epoch": best.epoch, "best_micro_f1": best.micro_f1,
             "best_macro_f1": best.macro_f1}
 

@@ -204,15 +204,47 @@ def test_lambda_zero_check_passes():
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
 def test_chunked_mc_mean_matches_one_shot_draw(monkeypatch, chunk):
     monkeypatch.setattr(evalcli, "MC_CHUNK_ROWS", chunk)
-    rng = np.random.default_rng(21)
-    head = rng.standard_normal((3, 8))
-    a = rng.standard_normal(8)
-    chol = np.linalg.cholesky(0.05 * np.cov(rng.standard_normal((40, 8)).T))
-    n = 333
-    draws = a + np.random.default_rng(5).standard_normal((n, 8)) @ chol.T
-    one_shot = softmax(draws @ head.T, axis=1).mean(axis=0)
-    chunked = _mc_softmax_mean(a, chol, head, n, np.random.default_rng(5))
-    assert np.abs(chunked - one_shot).max() <= 1e-12 * np.abs(one_shot).max()
+    n = 333  # a multiple of no chunk size but 1
+    for l, d in [(3, 8), (10, 64)]:
+        rng = np.random.default_rng(21)
+        head = rng.standard_normal((l, d))
+        a = rng.standard_normal(d)
+        chol = np.linalg.cholesky(0.05 * np.cov(rng.standard_normal((4 * d, d)).T))
+        one_shot_rng = np.random.default_rng(5)
+        draws = a + one_shot_rng.standard_normal((n, d)) @ chol.T
+        one_shot = softmax(draws @ head.T, axis=1).mean(axis=0)
+        chunked_rng = np.random.default_rng(5)
+        chunked = _mc_softmax_mean(a, chol, head, n, chunked_rng)
+        assert np.abs(chunked - one_shot).max() <= 1e-12 * np.abs(one_shot).max()
+        assert chunked_rng.bit_generator.state == one_shot_rng.bit_generator.state
+
+
+def _nan_on_call(monkeypatch, name: str, call: int) -> None:
+    """Make the ``call``-th call (1-based) of evalcli's ``name`` return NaNs
+    in place of its result; every other call returns the real one."""
+    real = getattr(evalcli, name)
+    calls = []
+
+    def fake(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(name)
+        return np.full_like(out, np.nan) if len(calls) == call else out
+    monkeypatch.setattr(evalcli, name, fake)
+
+
+@pytest.mark.parametrize("check,name,kwargs", [
+    (evalcli.check_bound_direction, "shifted_softmax_probs",
+     {"n_instances": 4, "n_samples": 500}),
+    (evalcli.check_lambda_zero, "softmax", {"n_batches": 3}),
+    (evalcli.check_weak_branch, "_mc_softmax_mean",
+     {"n_samples": 200_000, "n_cases": 3}),
+], ids=["bound-direction", "lambda-zero", "weak-branch"])
+def test_nan_in_one_case_fails_the_check(monkeypatch, check, name, kwargs):
+    assert check(**kwargs).passed
+    _nan_on_call(monkeypatch, name, call=2)
+    res = check(**kwargs)
+    assert not res.passed
+    assert "nan" in res.detail
 
 
 def test_worker_cap_env(monkeypatch):
@@ -327,13 +359,53 @@ def test_cli_sweep_k_reports_each_k(tmp_path, capsys):
     capsys.readouterr()
 
 
+# the stdout of `verify --seed 0 --instances 6 --mc-samples 200000
+# --bound-samples 500` as a direct row-wise softmax of the same draws prints
+# it: the Monte-Carlo kernel may reorder its arithmetic, not its report
+VERIFY_SMALL_STDOUT = """\
+PASS bound-direction: 6/6 instances, min slack 2.668e-03 (K=500)
+PASS lambda-zero-reduction: max deviation 6.883e-15 (tol 1e-09)
+PASS weak-branch-mc: max per-coordinate rel err 0.0127 (tol 0.02, beta=0.6087, K=200000)
+INFO beta-sup-error default: beta=0.587632 sup|sigmoid-Phi(beta x)|=0.009457
+INFO beta-sup-error relative: beta=0.608700 sup|sigmoid-Phi(beta x)|=0.013530
+INFO beta-sup-error slope-matched sqrt(pi/8): beta=0.626657 sup|sigmoid-Phi(beta x)|=0.017671
+INFO beta-sup-error pi^2/8: beta=1.233701 sup|sigmoid-Phi(beta x)|=0.162521
+"""
+
+
 def test_cli_verify_small_run(capsys):
     code = _run(["verify", "--seed", "0", "--instances", "6",
                  "--mc-samples", "200000", "--bound-samples", "500"])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert out.count("PASS") == 3
-    assert "beta-sup-error" in out
+    assert out == VERIFY_SMALL_STDOUT
+
+
+@pytest.mark.parametrize("flag,value", [("--instances", "0"), ("--instances", "-3"),
+                                        ("--mc-samples", "0"), ("--mc-samples", "-1")])
+def test_cli_verify_exit_4_on_count_below_one(capsys, flag, value):
+    assert _run(["verify", flag, value]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["code"] == 4
+
+
+def test_cli_non_finite_metric_exits_4_and_leaves_no_stream(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "d.plsp"
+    assert _run(["generate", "--out", str(data), "--n", "30", "--classes", "3",
+                 "--seed", "1"]) == 0
+    metrics = tmp_path / "m.jsonl"
+    metrics.write_text("earlier run\n", encoding="utf-8")
+
+    def nan_loss_run(ds, params, config, epochs, test_ds, on_epoch):
+        on_epoch({"epoch": 0, "loss_df": 0.5, "micro_f1": 0.4})
+        on_epoch({"epoch": 1, "loss_df": float("nan"), "micro_f1": 0.5})
+    monkeypatch.setattr(evalcli, "train_df_baseline", nan_loss_run)
+    capsys.readouterr()
+    assert _run(["df-baseline", "--data", str(data), "--metrics", str(metrics),
+                 "--epochs", "2"]) == 4
+    assert json.loads(capsys.readouterr().err)["code"] == 4
+    assert metrics.read_text(encoding="utf-8") == "earlier run\n"
 
 
 # -- corrupt checkpoints ---------------------------------------------------------
