@@ -19,9 +19,9 @@ from .objective import (BatchLossReport, PseudoSplit, build_pseudo_split,
                         loss_complementary_semantic, loss_sup_semantic,
                         mc_oracle_reg, pseudo_target, reg_consistency_semantic,
                         semantic_batch_loss)
-from .trainer import (TrainConfig, pretrain, schedule_gamma, schedule_lambda,
-                      train_ss, update_tau)
-from .evalcli import MetricsRecord, cli_main, macro_micro_f1
+from .trainer import (MetricsRecord, TrainConfig, macro_micro_f1, pretrain,
+                      schedule_gamma, schedule_lambda, train_ss, update_tau)
+from .evalcli import cli_main
 
 __all__ = [
     "GenSpec", "PLDataset", "generate_fps", "generate_uss", "make_blobs",

@@ -1,4 +1,4 @@
-"""F1 evaluation, verification protocols, and the experiment CLI.
+"""Verification protocols and the experiment CLI.
 
 Subcommands: generate / pretrain / train / eval / verify / sweep-k /
 df-baseline. Metrics go out as line-delimited JSON, one record per epoch plus
@@ -13,7 +13,7 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,66 +26,8 @@ from .semstats import (BETA_PI_SQ_OVER_8, BETA_RELATIVE, BETA_SLOPE_MATCHED,
                        ClassCovStats, DEFAULT_BETA, probit_weak_probs,
                        shifted_softmax_probs, std_normal_cdf, update_cov_stats)
 from .tensorcore import softmax
-from .trainer import (TrainConfig, new_classifier, pretrain, train_df_baseline,
-                      train_ss)
-
-
-def macro_micro_f1(predictions, truths, l: int) -> tuple[float, float]:
-    """One-vs-rest F1 per class with 0/0 := 0; macro averages over all l
-    classes (absent classes count as 0), micro pools the counts."""
-    predictions = np.asarray(predictions)
-    truths = np.asarray(truths)
-    if predictions.shape != truths.shape:
-        raise ValueError("predictions/truths length mismatch")
-    if predictions.size and max(predictions.max(), truths.max()) >= l:
-        raise ValueError("label out of range")
-    f1s = np.zeros(l)
-    tp_total = fp_total = fn_total = 0
-    for j in range(l):
-        tp = int(np.sum((predictions == j) & (truths == j)))
-        fp = int(np.sum((predictions == j) & (truths != j)))
-        fn = int(np.sum((predictions != j) & (truths == j)))
-        denom = 2 * tp + fp + fn
-        f1s[j] = 2 * tp / denom if denom else 0.0
-        tp_total += tp
-        fp_total += fp
-        fn_total += fn
-    micro_denom = 2 * tp_total + fp_total + fn_total
-    micro = 2 * tp_total / micro_denom if micro_denom else 0.0
-    return float(f1s.mean()), float(micro)
-
-
-@dataclass
-class MetricsRecord:
-    epoch: int
-    loss_df: float = 0.0
-    loss_sup: float = 0.0
-    reg_u: float = 0.0
-    loss_cl: float = 0.0
-    loss_total: float = 0.0
-    macro_f1: float = 0.0
-    micro_f1: float = 0.0
-    train_macro_f1: float = 0.0
-    train_micro_f1: float = 0.0
-    h_pass_rate: float = 0.0
-    clamped: int = 0            # log-clamp events, summed over the epoch
-    skipped: int = 0            # degenerate-mass instances, summed over the epoch
-    tau: list[float] = field(default_factory=list)
-    n_labeled: int = 0
-    n_unlabeled: int = 0
-    wall_clock_s: float = 0.0
-    is_summary: bool = False
-
-    def to_json_line(self) -> str:
-        """Raises ValueError on a NaN or infinite field: JSON has no token
-        for either."""
-        return json.dumps(dataclasses.asdict(self), allow_nan=False)
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "MetricsRecord":
-        data = json.loads(line)
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+from .trainer import (MetricsRecord, TrainConfig, macro_micro_f1, new_classifier,
+                      pretrain, train_df_baseline, train_ss)
 
 
 # -- verification protocols --------------------------------------------------
@@ -197,6 +139,7 @@ def check_lambda_zero(seed: int = 0, n_batches: int = 10,
             np.where(~masks, -np.log(np.maximum(1 - probs, 1e-12)), 0.0), axis=1)))
         worst = np.maximum(worst, abs(float(comp.data) - ref_comp))
 
+        # looked up at call time: the span tracer patches model.extract_features
         from .model import extract_features
         log_ps = shifted_log_probs(params.head, extract_features(params, x),
                                    stats.cov(0), 0.0)
@@ -355,16 +298,15 @@ def _augment_specs(args) -> tuple[augment.AugmentSpec, augment.AugmentSpec]:
     return weak, strong
 
 
-def _write_metrics(path, records: list[dict]) -> dict:
+def _write_metrics(path, records: list[MetricsRecord]) -> dict:
     """Write the records and a summary line repeating the best-micro-F1 epoch;
     return that epoch's fields for the command's stdout summary. Every line
     is serialised before the file is opened, so a record that cannot be
     written (a non-finite value) raises ValueError and leaves the file as it
     was."""
-    recs = [MetricsRecord(**rec) for rec in records]
-    best = max(recs, key=lambda r: r.micro_f1) if recs else None
+    best = max(records, key=lambda r: r.micro_f1) if records else None
     summary = [] if best is None else [dataclasses.replace(best, is_summary=True)]
-    lines = [rec.to_json_line() + "\n" for rec in recs + summary]
+    lines = [rec.to_json_line() + "\n" for rec in records + summary]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     if best is None:
@@ -428,7 +370,7 @@ def _cmd_df_baseline(args) -> int:
     epochs = args.epochs if args.epochs is not None \
         else config.pretrain_epochs + config.ss_epochs
     params = new_classifier(ds, config)
-    records: list[dict] = []
+    records: list[MetricsRecord] = []
     train_df_baseline(ds, params, config, epochs, test_ds, records.append)
     best = _write_metrics(args.metrics, records)
     if args.out:
@@ -474,11 +416,11 @@ def _cmd_sweep_k(args) -> int:
         cfg = dataclasses.replace(config, k=k)
         params = base.clone()
         _, records = train_ss(ds, params, cfg, test_ds, weak, strong)
-        best = max(records, key=lambda r: r["micro_f1"]) if records else None
+        best = max(records, key=lambda r: r.micro_f1) if records else None
         line = {"k": k,
-                "best_micro_f1": best["micro_f1"] if best else 0.0,
-                "best_macro_f1": best["macro_f1"] if best else 0.0,
-                "final_micro_f1": records[-1]["micro_f1"] if records else 0.0}
+                "best_micro_f1": best.micro_f1 if best else 0.0,
+                "best_macro_f1": best.macro_f1 if best else 0.0,
+                "final_micro_f1": records[-1].micro_f1 if records else 0.0}
         lines.append(line)
         print(json.dumps(line))
     if args.out:

@@ -435,7 +435,8 @@ def mc_oracle_reg(params: ClassifierParams, frozen: FrozenClassifier,
     strong-branch cross entropy under the closed-form pseudo target, which the
     shifted-softmax term must upper-bound. Test/verification use only.
     """
-    from .semstats import sample_semantic  # local import keeps module load light
+    # looked up at call time: the span tracer patches semstats.sample_semantic
+    from .semstats import sample_semantic
 
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")

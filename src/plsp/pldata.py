@@ -268,6 +268,8 @@ def read_dataset(path) -> PLDataset:
     version, flags, n, l = struct.unpack("<HHQI", chunk)
     if version != FORMAT_VERSION:
         raise BadVersionError(f"unsupported format version {version}")
+    if l < 3:  # write_dataset refuses such a dataset, so the file is corrupt
+        raise DatasetFormatError(f"class count {l} in the header, need >= 3")
     chunk, off = _take(buf, off, 4)
     (rank,) = struct.unpack("<I", chunk)
     chunk, off = _take(buf, off, 4 * rank)

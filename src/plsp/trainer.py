@@ -6,12 +6,19 @@ lam ramp linearly from 0 to their maxima over the epoch budget; per-class
 confidence thresholds follow curriculum pseudo-labeling (classes producing
 fewer confident predictions get lower thresholds), clamped to
 [tau_floor, tau0].
+
+Both loops report each epoch as one ``MetricsRecord``, the schema of the
+metrics files: ``train_df_baseline`` and ``train_ss`` pass it to
+``on_epoch``, and ``train_ss`` also returns the list of them. Train and test
+F1 in a record come from ``macro_micro_f1``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +79,59 @@ class TrainConfig:
         return SgdConfig(self.learning_rate, self.momentum, self.weight_decay)
 
 
+@dataclass
+class MetricsRecord:
+    epoch: int
+    loss_df: float = 0.0
+    loss_sup: float = 0.0
+    reg_u: float = 0.0
+    loss_cl: float = 0.0
+    loss_total: float = 0.0
+    macro_f1: float = 0.0
+    micro_f1: float = 0.0
+    train_macro_f1: float = 0.0
+    train_micro_f1: float = 0.0
+    h_pass_rate: float = 0.0
+    clamped: int = 0            # log-clamp events, summed over the epoch
+    skipped: int = 0            # degenerate-mass instances, summed over the epoch
+    tau: list[float] = field(default_factory=list)
+    n_labeled: int = 0
+    n_unlabeled: int = 0
+    wall_clock_s: float = 0.0
+    is_summary: bool = False
+
+    def to_json_line(self) -> str:
+        """Raises ValueError on a NaN or infinite field: JSON has no token
+        for either."""
+        return json.dumps(dataclasses.asdict(self), allow_nan=False)
+
+    @classmethod
+    def from_json_line(cls, line: str) -> "MetricsRecord":
+        data = json.loads(line)
+        known = {f.name for f in dataclasses.fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in known})
+
+
+def macro_micro_f1(predictions, truths, l: int) -> tuple[float, float]:
+    """One-vs-rest F1 per class with 0/0 := 0; macro averages over all l
+    classes (absent classes count as 0), micro pools the counts."""
+    predictions = np.asarray(predictions, dtype=np.int64)
+    truths = np.asarray(truths, dtype=np.int64)
+    if predictions.shape != truths.shape:
+        raise ValueError("predictions/truths length mismatch")
+    if predictions.size == 0:
+        return 0.0, 0.0
+    if min(predictions.min(), truths.min()) < 0 \
+            or max(predictions.max(), truths.max()) >= l:
+        raise ValueError("label out of range")
+    tp = np.bincount(truths[predictions == truths], minlength=l)
+    # 2·tp + fp + fn per class: every prediction of j and every truth of j
+    denom = np.bincount(predictions, minlength=l) + np.bincount(truths, minlength=l)
+    f1s = np.divide(2 * tp, denom, out=np.zeros(l), where=denom > 0)
+    # pooled, fp and fn each total n - tp, so 2·tp / (2·tp + fp + fn) = tp / n
+    return float(f1s.mean()), int(tp.sum()) / predictions.size
+
+
 def schedule_gamma(t: int, total: int, gamma0: float) -> float:
     if total < 1:
         raise ValueError("epoch budget must be >= 1")
@@ -128,6 +188,7 @@ def _draw_batch(indices: np.ndarray, batch: int, cycler: _Cycler | None,
 
 
 def _log_softmax(params: ClassifierParams, x: np.ndarray):
+    # looked up at call time: the span tracer patches model.extract_features
     from .model import extract_features
     feats = extract_features(params, x)
     z = feats @ params.head.T
@@ -145,7 +206,7 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
                       epochs: int, test_ds: PLDataset | None = None,
                       on_epoch=None) -> ClassifierParams:
     """Minimize the candidate-averaged negative log over uniformly reshuffled
-    mini-batches, no augmentation, reporting per-epoch metrics to
+    mini-batches, no augmentation, passing each epoch's MetricsRecord to
     ``on_epoch``. Pre-training and the ablation reference for the full
     objective."""
     x = ds.flat_features().astype(np.float64)
@@ -165,41 +226,39 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
             total += float(loss.data)
             clamped += batch_clamped
         if on_epoch is not None:
-            on_epoch(_df_metrics(t, total / max(config.inner_iters, 1), clamped, params,
-                                 ds, test_ds, time.perf_counter() - start, config))
+            mean_loss = total / max(config.inner_iters, 1)
+            on_epoch(_epoch_record(t, params, ds, test_ds, start, config,
+                                   loss_df=mean_loss, loss_total=mean_loss,
+                                   clamped=clamped))
     return params
 
 
-def _evaluate_f1(params: ClassifierParams, ds: PLDataset | None) -> tuple[float, float]:
-    if ds is None or ds.truth is None:
-        return 0.0, 0.0
-    from .evalcli import macro_micro_f1  # deferred: evalcli imports this module
-    preds = params.predict(ds.flat_features().astype(np.float64))
-    return macro_micro_f1(preds, ds.truth, ds.l)
+def _epoch_record(epoch: int, params: ClassifierParams, ds: PLDataset,
+                  test_ds: PLDataset | None, start: float, config: TrainConfig,
+                  **losses) -> MetricsRecord:
+    """The epoch's record: the loop's ``losses`` and counts, the seconds from
+    ``start`` to this call (the F1 evaluation is not timed), and train and
+    test F1 (0 where a set or its truth is absent)."""
+    seconds = 0.0 if config.deterministic else time.perf_counter() - start
+    (train_macro, train_micro), (test_macro, test_micro) = [
+        macro_micro_f1(params.predict(d.flat_features().astype(np.float64)), d.truth, d.l)
+        if d is not None and d.truth is not None else (0.0, 0.0)
+        for d in (ds, test_ds)]
+    return MetricsRecord(epoch=epoch, macro_f1=test_macro, micro_f1=test_micro,
+                         train_macro_f1=train_macro, train_micro_f1=train_micro,
+                         wall_clock_s=seconds, **losses)
 
 
-def _df_metrics(epoch: int, mean_loss: float, clamped: int, params: ClassifierParams,
-                ds: PLDataset, test_ds: PLDataset | None, seconds: float,
-                config: TrainConfig) -> dict:
-    train_macro, train_micro = _evaluate_f1(params, ds)
-    test_macro, test_micro = _evaluate_f1(params, test_ds)
-    return {
-        "epoch": epoch,
-        "loss_df": mean_loss, "loss_sup": 0.0, "reg_u": 0.0, "loss_cl": 0.0,
-        "loss_total": mean_loss,
-        "macro_f1": test_macro, "micro_f1": test_micro,
-        "train_macro_f1": train_macro, "train_micro_f1": train_micro,
-        "h_pass_rate": 0.0, "clamped": clamped, "skipped": 0, "tau": [],
-        "n_labeled": 0, "n_unlabeled": 0,
-        "wall_clock_s": 0.0 if config.deterministic else seconds,
-    }
+# BatchLossReport fields summed over an epoch's steps; the losses and the pass
+# rate are recorded as means, the counts as totals
+_SUMMED = ("loss_sup", "reg_u", "loss_cl", "total", "h_pass_rate", "clamped", "skipped")
 
 
 def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
              test_ds: PLDataset | None = None,
              weak: AugmentSpec | None = None,
              strong: AugmentSpec | None = None,
-             on_epoch=None) -> tuple[ClassifierParams, list[dict]]:
+             on_epoch=None) -> tuple[ClassifierParams, list[MetricsRecord]]:
     """Semi-supervised stage over the pseudo-split, refreshed every epoch.
 
     Per inner iteration: draw a labeled and an unlabeled mini-batch, snapshot
@@ -207,12 +266,13 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
     un-augmented features into the per-class covariance stats, evaluate the
     combined objective at the current (gamma, lam, tau), and take an SGD step.
     Confident counts accumulate over the epoch and set the next epoch's
-    thresholds.
+    thresholds. Each epoch's MetricsRecord goes to ``on_epoch`` and into the
+    returned list.
     """
     weak = weak or augment.weak_spec()
     strong = strong or augment.strong_spec()
     n_epochs = config.ss_epochs
-    records: list[dict] = []
+    records: list[MetricsRecord] = []
     if n_epochs == 0:
         return params, records
     l = ds.l
@@ -239,8 +299,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
         lab_y = np.zeros(ds.n, dtype=np.int64)
         lab_y[split.labeled_idx] = split.labeled_y
 
-        sums = {"loss_sup": 0.0, "reg_u": 0.0, "loss_cl": 0.0, "loss_total": 0.0,
-                "h": 0.0, "clamped": 0, "skipped": 0}
+        sums = dict.fromkeys(_SUMMED, 0)
         for c in range(config.inner_iters):
             lab = _draw_batch(split.labeled_idx, config.batch_labeled,
                               lab_cycler, batch_rng)
@@ -263,32 +322,17 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
             total.backward()
             opt.step()
             sigma += batch_report.sigma_inc
-            sums["h"] += batch_report.h_pass_rate
-            sums["loss_sup"] += batch_report.loss_sup
-            sums["reg_u"] += batch_report.reg_u
-            sums["loss_cl"] += batch_report.loss_cl
-            sums["loss_total"] += batch_report.total
-            sums["clamped"] += batch_report.clamped
-            sums["skipped"] += batch_report.skipped
+            for name in _SUMMED:
+                sums[name] += getattr(batch_report, name)
 
         iters = max(config.inner_iters, 1)
-        train_macro, train_micro = _evaluate_f1(params, ds)
-        test_macro, test_micro = _evaluate_f1(params, test_ds)
-        record = {
-            "epoch": t,
-            "loss_df": 0.0,
-            "loss_sup": sums["loss_sup"] / iters,
-            "reg_u": sums["reg_u"] / iters,
-            "loss_cl": sums["loss_cl"] / iters,
-            "loss_total": sums["loss_total"] / iters,
-            "macro_f1": test_macro, "micro_f1": test_micro,
-            "train_macro_f1": train_macro, "train_micro_f1": train_micro,
-            "h_pass_rate": sums["h"] / iters,
-            "clamped": sums["clamped"], "skipped": sums["skipped"],
-            "tau": [float(v) for v in tau],
-            "n_labeled": split.n_labeled, "n_unlabeled": split.n_unlabeled,
-            "wall_clock_s": 0.0 if config.deterministic else time.perf_counter() - start,
-        }
+        record = _epoch_record(
+            t, params, ds, test_ds, start, config,
+            loss_sup=sums["loss_sup"] / iters, reg_u=sums["reg_u"] / iters,
+            loss_cl=sums["loss_cl"] / iters, loss_total=sums["total"] / iters,
+            h_pass_rate=sums["h_pass_rate"] / iters,
+            clamped=sums["clamped"], skipped=sums["skipped"], tau=tau.tolist(),
+            n_labeled=split.n_labeled, n_unlabeled=split.n_unlabeled)
         records.append(record)
         if on_epoch is not None:
             on_epoch(record)

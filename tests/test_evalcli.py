@@ -85,6 +85,12 @@ def test_length_mismatch_raises():
         macro_micro_f1([0, 1], [0], 3)
 
 
+@pytest.mark.parametrize("preds,truths", [([-1, 0], [0, 0]), ([0, 0], [0, -1])])
+def test_negative_label_raises(preds, truths):
+    with pytest.raises(ValueError, match="label out of range"):
+        macro_micro_f1(preds, truths, 3)
+
+
 def test_metrics_record_roundtrip():
     rec = MetricsRecord(epoch=3, loss_sup=0.5, reg_u=0.01, loss_cl=0.2,
                         loss_total=0.71, macro_f1=0.9, micro_f1=0.91,
@@ -398,8 +404,8 @@ def test_cli_non_finite_metric_exits_4_and_leaves_no_stream(tmp_path, monkeypatc
     metrics.write_text("earlier run\n", encoding="utf-8")
 
     def nan_loss_run(ds, params, config, epochs, test_ds, on_epoch):
-        on_epoch({"epoch": 0, "loss_df": 0.5, "micro_f1": 0.4})
-        on_epoch({"epoch": 1, "loss_df": float("nan"), "micro_f1": 0.5})
+        on_epoch(MetricsRecord(epoch=0, loss_df=0.5, micro_f1=0.4))
+        on_epoch(MetricsRecord(epoch=1, loss_df=float("nan"), micro_f1=0.5))
     monkeypatch.setattr(evalcli, "train_df_baseline", nan_loss_run)
     capsys.readouterr()
     assert _run(["df-baseline", "--data", str(data), "--metrics", str(metrics),
@@ -490,3 +496,24 @@ def test_cli_exit_3_on_dataset_breaking_its_framing(eval_files, tmp_path, capsys
     assert _run(["pretrain", "--data", str(data), "--out", str(tmp_path / "o.plsw"),
                  "--pretrain-epochs", "1", "--inner-iters", "1"]) == 3
     capsys.readouterr()
+
+
+def _two_class_dataset() -> bytes:
+    """A well-framed .plsp whose header says l = 2: four 2-d rows, each with
+    the candidate set {0}."""
+    n, l = 4, 2
+    return (b"PLSP" + struct.pack("<HHQI", 1, 0, n, l) + struct.pack("<II", 1, 2)
+            + np.zeros(2 * n, dtype="<f4").tobytes() + np.ones(n, dtype="<u8").tobytes())
+
+
+def test_cli_exit_3_on_class_count_below_three(eval_files, tmp_path, capsys):
+    ckpt, data = eval_files
+    data.write_bytes(_two_class_dataset())
+    assert _run(["pretrain", "--data", str(data), "--out", str(tmp_path / "o.plsw"),
+                 "--pretrain-epochs", "1", "--inner-iters", "1"]) == 3
+    assert _eval(ckpt, data) == 3
+    # no such file is written: asking for two classes is a bad parameter
+    assert _run(["generate", "--out", str(tmp_path / "two.plsp"), "--n", "30",
+                 "--classes", "2"]) == 4
+    codes = [json.loads(line)["code"] for line in capsys.readouterr().err.splitlines()]
+    assert codes == [3, 3, 4]

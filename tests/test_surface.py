@@ -1,12 +1,15 @@
 """The names the traced benchmark patches, and the package's public names,
-must resolve. A deleted one would otherwise show up only as an
-AttributeError in a traced run (``perfbench/run.py --trace 1``)."""
+must resolve, and a traced run must still see the training loops. A deleted
+name would otherwise show up only as an AttributeError in a traced run
+(``perfbench/run.py --trace 1``), and a call the tracer cannot see only as a
+per-layer metric that reads 0."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import plsp
+from plsp.evalcli import cli_main
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,3 +33,42 @@ def test_every_traced_target_resolves_and_is_callable():
 
 def test_every_public_name_resolves():
     assert [name for name in plsp.__all__ if not hasattr(plsp, name)] == []
+
+
+def _ancestors(tracer, idx: int) -> set[str]:
+    out = set()
+    while tracer.parents[idx] >= 0:
+        idx = tracer.parents[idx]
+        out.add(tracer.names[idx])
+    return out
+
+
+def test_traced_runs_see_the_training_loops(tmp_path, capsys):
+    """A tiny `train` and `df-baseline` under the benchmark's tracer record
+    the spans that its per-layer metrics are built from."""
+    spans = _load_spans()
+    data, test = tmp_path / "d.plsp", tmp_path / "t.plsp"
+    assert cli_main(["generate", "--out", str(data), "--test-out", str(test),
+                     "--n", "60", "--n-test", "20", "--classes", "3"]) == 0
+    small = ["--data", str(data), "--test", str(test), "--hidden-dims", "8",
+             "--pretrain-epochs", "1", "--ss-epochs", "1", "--inner-iters", "2",
+             "--batch-labeled", "8", "--batch-unlabeled", "16", "--k", "5"]
+    modules = {name: importlib.import_module(f"plsp.{name}") for name in spans.LAYERS}
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    try:
+        with tracer.recording():
+            assert cli_main(["train", "--out", str(tmp_path / "m.plsw"),
+                             "--metrics", str(tmp_path / "m.jsonl"), *small]) == 0
+            assert cli_main(["df-baseline", "--epochs", "1",
+                             "--metrics", str(tmp_path / "df.jsonl"), *small]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    within: dict[str, set[str]] = {}  # span name -> names of its enclosing spans
+    for i, name in enumerate(tracer.names):
+        within.setdefault(name, set()).update(_ancestors(tracer, i))
+    for name in ("tensorcore.backward", "semstats.cov_update", "evalcli.metrics_write"):
+        assert name in within, name
+    assert {"trainer.df_baseline", "trainer.train_ss"} <= within["model.forward"]
+    assert "trainer.train_ss" in within["model.predict"]  # trainer.f1_eval_s

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,8 @@ from plsp.objective import (build_pseudo_split, loss_complementary_semantic,
                             loss_df, weak_cav_pseudo_labels)
 from plsp.pldata import PLDataset, generate_fps, generate_uss, make_blobs
 from plsp.tensorcore import SgdOptimizer, gradients
-from plsp.trainer import (TrainConfig, _Cycler, _draw_batch, _log_softmax,
-                          new_classifier, pretrain, schedule_gamma,
+from plsp.trainer import (MetricsRecord, TrainConfig, _Cycler, _draw_batch,
+                          _log_softmax, new_classifier, pretrain, schedule_gamma,
                           schedule_lambda, train_df_baseline, train_ss,
                           update_tau)
 
@@ -194,7 +192,7 @@ def test_train_ss_deterministic_records():
         params = new_classifier(ds, config)
         pretrain(ds, params, config)
         _, records = train_ss(ds, params, config, test_ds=ds)
-        outs.append(json.dumps(records))
+        outs.append([rec.to_json_line() for rec in records])
     assert outs[0] == outs[1]
 
 
@@ -203,9 +201,9 @@ def test_train_ss_k_zero_runs_without_supervised_term():
     config = _tiny_config(k=0, ss_epochs=2)
     params = new_classifier(ds, config)
     _, records = train_ss(ds, params, config)
-    assert all(r["loss_sup"] == 0.0 for r in records)
-    assert all(r["n_labeled"] == 0 for r in records)
-    assert all(np.isfinite(r["loss_total"]) for r in records)
+    assert all(r.loss_sup == 0.0 for r in records)
+    assert all(r.n_labeled == 0 for r in records)
+    assert all(np.isfinite(r.loss_total) for r in records)
 
 
 def test_train_ss_k_ge_n_runs_with_empty_unlabeled():
@@ -213,8 +211,8 @@ def test_train_ss_k_ge_n_runs_with_empty_unlabeled():
     config = _tiny_config(k=40, ss_epochs=2, batch_labeled=8)
     params = new_classifier(ds, config)
     _, records = train_ss(ds, params, config)
-    assert all(r["n_unlabeled"] == 0 for r in records)
-    assert all(r["reg_u"] == 0.0 and r["loss_cl"] == 0.0 for r in records)
+    assert all(r.n_unlabeled == 0 for r in records)
+    assert all(r.reg_u == 0.0 and r.loss_cl == 0.0 for r in records)
 
 
 def test_train_ss_tau_respects_bounds_every_epoch():
@@ -224,18 +222,17 @@ def test_train_ss_tau_respects_bounds_every_epoch():
     pretrain(ds, params, config)
     _, records = train_ss(ds, params, config)
     for rec in records:
-        tau = np.array(rec["tau"])
+        tau = np.array(rec.tau)
         assert np.all(tau >= config.tau_floor - 1e-12)
         assert np.all(tau <= config.tau0 + 1e-12)
 
 
 def test_metrics_records_have_expected_keys():
-    from plsp.evalcli import MetricsRecord
     ds = _blob_pl_dataset(n=40, seed=10)
     config = _tiny_config(ss_epochs=1)
     params = new_classifier(ds, config)
     _, records = train_ss(ds, params, config, test_ds=ds)
-    rec = MetricsRecord(**records[0])
+    rec = records[0]
     line = rec.to_json_line()
     assert MetricsRecord.from_json_line(line) == rec
 
@@ -248,9 +245,9 @@ def test_records_carry_clamp_and_skip_counts():
     train_df_baseline(ds, params, config, 2, ds, df_records.append)
     _, ss_records = train_ss(ds, params, config, test_ds=ds)
     for rec in df_records + ss_records:
-        assert type(rec["clamped"]) is int and rec["clamped"] >= 0
-        assert type(rec["skipped"]) is int and rec["skipped"] >= 0
-    assert all(rec["skipped"] == 0 for rec in df_records)
+        assert type(rec.clamped) is int and rec.clamped >= 0
+        assert type(rec.skipped) is int and rec.skipped >= 0
+    assert all(rec.skipped == 0 for rec in df_records)
 
 
 def test_saturated_model_reports_clamps():
@@ -263,8 +260,8 @@ def test_saturated_model_reports_clamps():
     df_records = []
     train_df_baseline(ds, params, config, 1, None, df_records.append)
     _, ss_records = train_ss(ds, params, config)
-    assert df_records[0]["clamped"] > 0
-    assert all(rec["clamped"] > 0 for rec in ss_records)
+    assert df_records[0].clamped > 0
+    assert all(rec.clamped > 0 for rec in ss_records)
 
 
 def test_df_baseline_trains_and_reports():
@@ -274,5 +271,5 @@ def test_df_baseline_trains_and_reports():
     records = []
     train_df_baseline(ds, params, config, 3, ds, records.append)
     assert len(records) == 3
-    assert records[-1]["loss_df"] > 0
-    assert 0.0 <= records[-1]["micro_f1"] <= 1.0
+    assert records[-1].loss_df > 0
+    assert 0.0 <= records[-1].micro_f1 <= 1.0
