@@ -15,10 +15,9 @@ from .semstats import (ClassCovStats, DEFAULT_BETA, probit_weak_probs,
                        sample_semantic, shifted_softmax_probs, std_normal_cdf,
                        update_cov_stats)
 from .objective import (BatchLossReport, PseudoSplit, build_pseudo_split,
-                        cav_scores, confidence_indicator, loss_df,
-                        loss_complementary_semantic, loss_sup_semantic,
-                        mc_oracle_reg, pseudo_target, reg_consistency_semantic,
-                        semantic_batch_loss)
+                        cav_scores, loss_df, loss_complementary_semantic,
+                        loss_sup_semantic, mc_oracle_reg, pseudo_target,
+                        reg_consistency_semantic, semantic_batch_loss)
 from .trainer import (MetricsRecord, TrainConfig, macro_micro_f1, pretrain,
                       schedule_gamma, schedule_lambda, train_ss, update_tau)
 from .evalcli import cli_main
@@ -31,9 +30,9 @@ __all__ = [
     "ClassCovStats", "DEFAULT_BETA", "probit_weak_probs", "sample_semantic",
     "shifted_softmax_probs", "std_normal_cdf", "update_cov_stats",
     "BatchLossReport", "PseudoSplit", "build_pseudo_split", "cav_scores",
-    "confidence_indicator", "loss_df", "loss_complementary_semantic",
-    "loss_sup_semantic", "mc_oracle_reg", "pseudo_target",
-    "reg_consistency_semantic", "semantic_batch_loss",
+    "loss_df", "loss_complementary_semantic", "loss_sup_semantic",
+    "mc_oracle_reg", "pseudo_target", "reg_consistency_semantic",
+    "semantic_batch_loss",
     "TrainConfig", "pretrain", "schedule_gamma", "schedule_lambda", "train_ss",
     "update_tau",
     "MetricsRecord", "cli_main", "macro_micro_f1",

@@ -82,7 +82,8 @@ def init_classifier(input_dim: int, hidden_dims: tuple[int, ...], n_classes: int
 
 def _relu_stack(x: np.ndarray, layers) -> np.ndarray:
     """Numpy forward pass through (weight, bias) array pairs."""
-    a = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
+    x = np.asarray(x, dtype=np.float64)
+    a = x.reshape(len(x), math.prod(x.shape[1:]))  # explicit width: 0 rows reshape too
     for w, b in layers:
         a = np.maximum(a @ w + b, 0.0)
     return a
@@ -90,7 +91,8 @@ def _relu_stack(x: np.ndarray, layers) -> np.ndarray:
 
 def extract_features(params: ClassifierParams, x: np.ndarray) -> Tensor:
     """Differentiable forward pass through the ReLU stack."""
-    x = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
+    x = np.asarray(x, dtype=np.float64)
+    x = x.reshape(len(x), math.prod(x.shape[1:]))
     if x.shape[1] != params.input_dim:
         raise ValueError(f"input dim {x.shape[1]} != expected {params.input_dim}")
     a = Tensor(x)

@@ -13,11 +13,11 @@ estimator around as an independent check.
 One step's three terms come from one graph (``semantic_batch_loss``): one
 forward over the stacked rows [labeled; unlabeled un-augmented; strong] and
 one shifted log-softmax in which each row selects its own class covariance
-(committed pseudo label, or weak-view semantic label). All l shift matrices
-are built once as a single (l*l, l) tensor and a constant one-hot matmul
-hands each row its block, so the graph has the same few dozen nodes for any
-class count. The per-term functions run the same kernel with the other row
-blocks empty. The frozen weak branch is one numpy forward per step.
+(committed pseudo label, or weak-view semantic label). That log-softmax is
+one graph node with a closed-form backward; its l shift matrices come from
+``semstats.pairwise_quadratic``, so the graph has the same few dozen nodes
+for any class count. The per-term functions run the same kernel with the
+other row blocks empty. The frozen weak branch is one numpy forward per step.
 
 Gradient flow: everything computed from a frozen snapshot (weak-branch
 probabilities, pseudo labels, pseudo targets) enters as plain numpy constants;
@@ -34,7 +34,8 @@ import numpy as np
 
 from .model import ClassifierParams, FrozenClassifier, extract_features
 from .pldata import PLDataset
-from .semstats import (ClassCovStats, DEFAULT_BETA, probit_weak_probs)
+from .semstats import (ClassCovStats, DEFAULT_BETA, pairwise_quadratic,
+                       probit_weak_probs)
 from .tensorcore import Tensor, softmax
 
 LOG_EPS = math.log(1e-12)
@@ -153,56 +154,50 @@ def pseudo_target(p_weak: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return masked / mass
 
 
-def confidence_indicator(p_weak: np.ndarray, candidates: np.ndarray,
-                         tau: np.ndarray) -> int:
-    """1 iff the argmax confidence clears its class threshold and the argmax
-    lies in the candidate set (argmax ties -> lowest index)."""
-    p_weak = np.asarray(p_weak, dtype=np.float64)
-    jmax = int(p_weak.argmax())
-    tau = np.asarray(tau, dtype=np.float64)
-    return int(p_weak[jmax] >= tau[jmax] and bool(candidates[jmax]))
-
-
 # -- the semantic objective kernel --------------------------------------------
-
-def _class_shifts(head: Tensor, covs: np.ndarray, lam: float) -> Tensor:
-    """All K shift matrices lam/2 * Q_k as one (K*l, l) tensor, block k in
-    rows k*l..k*l+l-1, with Q_k[i, j] = (w_i - w_j)^T covs[k] (w_i - w_j).
-
-    Only rank-2 ops on constants: a difference matmul forms the l*l head-row
-    differences, a tile matmul repeats them once per covariance, and a
-    block-sum matmul folds each covariance's d_f columns into one.
-    """
-    n_cov, dim = covs.shape[0], covs.shape[1]
-    eye = np.eye(head.shape[0])
-    diff = np.repeat(eye, len(eye), axis=0) - np.tile(eye, (len(eye), 1))
-    v = Tensor(diff) @ head                                   # row (i, j): w_i - w_j
-    vc = v @ Tensor(np.concatenate(covs, axis=1) * (0.5 * lam))
-    vv = v @ Tensor(np.tile(np.eye(dim), (1, n_cov)))
-    quad = (vc * vv) @ Tensor(np.kron(np.eye(n_cov), np.ones((dim, 1))))
-    return quad.T.reshape(n_cov * len(eye), len(eye))        # (i, j), k -> (k, i), j
-
 
 def _shifted_log_softmax(head: Tensor, feats: Tensor, covs: np.ndarray,
                          classes: np.ndarray, lam: float) -> Tensor:
     """Row i: log of exp(z_j) / sum_j' exp(z_j' + lam/2 * Q_c[j', j]) with
     c = classes[i] picking the row's covariance from the (K, d_f, d_f) stack.
 
-    A constant one-hot matmul gives each row its own class's shift block.
-    Row-max and per-block shift-max constants are detached; they cancel
-    exactly, so the value and gradient match the unshifted expression.
+    One graph node with a closed-form backward. The shifts come from
+    ``pairwise_quadratic``; each row's exp(z - m) sits in its class's block
+    of a (B, K*l) matrix, so one matmul against the stacked gains gives every
+    denominator and one transposed matmul gathers every class's shift
+    gradient. Row-max and per-block shift-max constants cancel exactly.
     """
-    l, n_cov = head.shape[0], covs.shape[0]
-    z = feats @ head.T                                        # (B, l)
-    shifts = _class_shifts(head, covs, lam)
-    kappa = shifts.data.reshape(n_cov, l * l).max(axis=1)
-    gain = (shifts + Tensor(-np.repeat(kappa, l)[:, None])).exp()
-    pick = np.asarray(classes)[:, None] == np.repeat(np.arange(n_cov), l)
-    m = z.data.max(axis=1, keepdims=True)
-    expz = ((z + Tensor(-m)).exp() @ Tensor(np.tile(np.eye(l), (1, n_cov)))
-            * Tensor(pick.astype(np.float64)))                # (B, K*l)
-    den = (expz @ gain).log() + Tensor(m + kappa[classes][:, None])
-    return z - den
+    l, n_cov, batch = head.shape[0], covs.shape[0], feats.shape[0]
+    w, a = head.data, feats.data
+    gain = 0.5 * lam * pairwise_quadratic(w, covs)            # (K, l, l)
+    kappa = gain.reshape(n_cov, l * l).max(axis=1)
+    gain = np.exp(gain - kappa[:, None, None]).reshape(n_cov * l, l)
+    z = a @ w.T
+    m = z.max(axis=1, keepdims=True)
+    expz = np.exp(z - m)
+    rows = np.arange(batch)
+    picked = np.zeros((batch, n_cov, l))
+    picked[rows, classes] = expz
+    picked = picked.reshape(batch, n_cov * l)
+    den = picked @ gain
+    out = feats._child(z - (np.log(den) + (m + kappa[classes][:, None])),
+                       (feats, head))
+
+    def backward(g):
+        r = g / den
+        dz = g - expz * (r @ gain.T).reshape(batch, n_cov, l)[rows, classes]
+        if feats.requires_grad:
+            feats._accumulate(dz @ w)
+        if head.requires_grad:
+            # dQ_c = -lam/2 * gain_c * sum_{i in c} expz_i (x) r_i; with
+            # B_c = dQ_c + dQ_c^T, dL/dW += 2 sum_c (diag(B_c 1) - B_c) W cov_c
+            dq = (picked.T @ r * gain).reshape(n_cov, l, l) * (-0.5 * lam)
+            sym = dq + np.swapaxes(dq, 1, 2)
+            lap_w = sym.sum(axis=2)[:, :, None] * w - sym @ w
+            head._accumulate(dz.T @ a + 2.0 * (lap_w @ covs).sum(axis=0))
+
+    out._backward = backward
+    return out
 
 
 def shifted_log_probs(head: Tensor, feats: Tensor, cov: np.ndarray,

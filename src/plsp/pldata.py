@@ -59,7 +59,7 @@ class PLDataset:
         return self.features.shape[1:]
 
     def flat_features(self) -> np.ndarray:
-        return self.features.reshape(self.n, -1)
+        return self.features.reshape(self.n, math.prod(self.feature_shape))
 
     def validate(self) -> None:
         if self.features.shape[0] != self.candidates.shape[0]:

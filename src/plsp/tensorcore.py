@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation, plus SGD.
 
-The op set is exactly what the training losses need: matmul, add/sub/mul
-with rank<=2 broadcasting, exp, log, elementwise max against a constant,
-axis sums, transpose, and a fused logsumexp whose backward is the softmax.
+The ops: matmul, add/sub/mul with rank<=2 broadcasting, exp, log,
+elementwise max against a constant, axis sums, transpose, reshape and a
+fused logsumexp whose backward is the softmax. The training losses add one
+node of their own (the shifted log-softmax in ``plsp.objective``); reshape
+serves only the per-class reference in the tests.
 Matrix products go to numpy's BLAS, which may spread them over threads (see
 the README on OPENBLAS_NUM_THREADS); everything else runs in one thread.
 Backward closures hold their parents and constant arrays, never their own
@@ -193,7 +195,7 @@ class Tensor:
     def maximum(self, floor: float) -> "Tensor":
         """Elementwise max against a constant; gradient flows where data > floor."""
         out = self._child(np.maximum(self.data, floor), (self,))
-        mask = (self.data > floor).astype(np.float64)
+        mask = self.data > floor
 
         def backward(g):
             if self.requires_grad:

@@ -11,6 +11,7 @@ from plsp.evalcli import (MetricsRecord, _mc_softmax_mean, beta_sup_errors,
                           build_train_config, check_lambda_zero, cli_main,
                           macro_micro_f1, parse_config_file)
 from plsp.model import ClassifierParams, init_classifier, save_checkpoint
+from plsp.pldata import PLDataset, read_dataset, write_dataset
 from plsp.tensorcore import Tensor, softmax
 from plsp.trainer import TrainConfig
 
@@ -294,6 +295,20 @@ def test_cli_generate_train_eval_chain(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     rec = MetricsRecord.from_json_line(out)
     assert 0.0 <= rec.micro_f1 <= 1.0
+    # a valid file with no rows evaluates to F1 0 and serves as a test set
+    full = read_dataset(test)
+    empty = tmp_path / "empty.plsp"
+    write_dataset(empty, PLDataset(full.features[:0], full.candidates[:0],
+                                   full.truth[:0]))
+    assert _run(["eval", "--checkpoint", str(ckpt), "--data", str(empty)]) == 0
+    rec = MetricsRecord.from_json_line(capsys.readouterr().out.strip())
+    assert (rec.macro_f1, rec.micro_f1) == (0.0, 0.0)
+    assert _run(["train", "--data", str(data), "--test", str(empty),
+                 "--out", str(ckpt), "--metrics", str(metrics),
+                 "--pretrain-epochs", "1", "--ss-epochs", "1",
+                 "--inner-iters", "1", "--batch-labeled", "8",
+                 "--batch-unlabeled", "16", "--k", "10",
+                 "--hidden-dims", "12,6", "--seed", "1"]) == 0
 
 
 def test_cli_deterministic_metrics_bytes(tmp_path):

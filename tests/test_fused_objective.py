@@ -285,4 +285,4 @@ def test_step_graph_is_small_and_independent_of_class_count(monkeypatch):
     four = _step_graph_sizes(monkeypatch, 4)
     ten = _step_graph_sizes(monkeypatch, 10)
     assert four == ten
-    assert max(four) <= 70
+    assert max(four) <= 32

@@ -6,13 +6,13 @@ import pytest
 from plsp.model import (ClassifierParams, extract_features, init_classifier,
                         snapshot_frozen)
 from plsp.objective import (DegenerateMassError, LOG_EPS, assemble_batch,
-                            build_pseudo_split, cav_scores, confidence_indicator,
-                            loss_df, loss_complementary_semantic, loss_sup_semantic,
+                            build_pseudo_split, cav_scores, loss_df,
+                            loss_complementary_semantic, loss_sup_semantic,
                             masked_argmax, mc_oracle_reg, pseudo_target,
                             reg_consistency_semantic, shifted_log_probs,
                             weak_cav_pseudo_labels)
 from plsp.pldata import PLDataset, generate_uss
-from plsp.semstats import ClassCovStats, update_cov_stats
+from plsp.semstats import ClassCovStats, probit_weak_probs, update_cov_stats
 from plsp.tensorcore import Tensor, gradients, softmax
 
 
@@ -205,14 +205,26 @@ def test_pseudo_target_degenerate_raises():
         pseudo_target(np.array([1.0, 0.0, 0.0]), np.array([False, True, True]))
 
 
-def test_confidence_indicator_cases():
-    tau = np.full(3, 0.75)
-    assert confidence_indicator(np.array([0.8, 0.1, 0.1]),
-                                np.array([True, False, True]), tau) == 1
-    assert confidence_indicator(np.array([0.8, 0.1, 0.1]),
-                                np.array([False, True, True]), tau) == 0
-    assert confidence_indicator(np.array([0.7, 0.2, 0.1]),
-                                np.array([True, False, False]), tau) == 0
+def test_reg_gate_hand_cases():
+    # lam = 0 and zero covariances: the weak probabilities are the plain
+    # probit map, so the test can read each row's confidence off it
+    head = 3.0 * np.eye(3)
+    params = _identity_model(head)
+    frozen = snapshot_frozen(params)
+    stats = ClassCovStats(3, 3)
+    xw = np.array([[1.0, 0.0, 0.0],   # argmax 0 in {0, 2}, above tau: passes
+                   [1.0, 0.0, 0.0],   # argmax 0 outside {1, 2}: fails
+                   [0.0, 1.0, 0.0],   # argmax 1, confidence just below tau: fails
+                   [0.0, 0.0, 1.0]])  # argmax 2, confidence exactly tau: passes
+    mask = np.array([[True, False, True], [False, True, True],
+                     [True, True, False], [False, True, True]])
+    p = probit_weak_probs(head, xw, np.zeros((3, 3)), 0.0)
+    assert p.argmax(axis=1).tolist() == [0, 0, 1, 2]
+    tau = np.array([p[0, 0] - 0.1, np.nextafter(p[2, 1], 1.0), p[3, 2]])
+    _, report = reg_consistency_semantic(params, frozen, stats, xw, xw, mask,
+                                         0.0, tau)
+    assert report.h_pass_rate == 0.5
+    assert report.sigma_inc.tolist() == [1, 0, 1]
 
 
 # -- semantic supervised loss ---------------------------------------------------------
