@@ -7,8 +7,8 @@ objective whose semantic-transformation terms use closed-form expectations
 instead of sampling. See ``plsp.evalcli`` for the CLI.
 """
 
-from .pldata import (GenSpec, PLDataset, generate_fps, generate_uss,
-                     make_blobs, read_dataset, write_dataset)
+from .pldata import (PLDataset, generate_fps, generate_uss, make_blobs,
+                     read_dataset, write_dataset)
 from .model import (ClassifierParams, extract_features, init_classifier,
                     load_checkpoint, save_checkpoint, snapshot_frozen)
 from .semstats import (ClassCovStats, DEFAULT_BETA, probit_weak_probs,
@@ -23,8 +23,8 @@ from .trainer import (MetricsRecord, TrainConfig, macro_micro_f1, pretrain,
 from .evalcli import cli_main
 
 __all__ = [
-    "GenSpec", "PLDataset", "generate_fps", "generate_uss", "make_blobs",
-    "read_dataset", "write_dataset",
+    "PLDataset", "generate_fps", "generate_uss", "make_blobs", "read_dataset",
+    "write_dataset",
     "ClassifierParams", "extract_features", "init_classifier",
     "load_checkpoint", "save_checkpoint", "snapshot_frozen",
     "ClassCovStats", "DEFAULT_BETA", "probit_weak_probs", "sample_semantic",

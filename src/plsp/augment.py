@@ -1,9 +1,11 @@
 """Weak and strong input perturbations.
 
 Image grids (H, W, Ch) get flip / pad-and-crop, with an extra cutout square
-on the strong branch. Flat vectors get gaussian jitter, with larger jitter
-plus bernoulli feature masking on the strong branch. Both pipelines preserve
-shape and are deterministic given the generator handed in.
+on the strong branch. Flat vectors get gaussian jitter (``weak_jitter``, or
+``strong_jitter`` on the strong branch) plus bernoulli feature masking on the
+strong branch. One ``AugmentSpec`` holds the settings of both branches; its
+fields are the CLI's augmentation flags and their defaults. Both pipelines
+preserve shape and are deterministic given the generator handed in.
 
 Both branches work on a whole batch at once, with no per-instance loop, and a
 batch makes a fixed number of vector draws whatever its values: an image batch
@@ -14,6 +16,7 @@ instance is a batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,31 +30,23 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class AugmentSpec:
-    kind: str                        # "weak" | "strong"
     flip_prob: float = 0.5
     pad: int = 4
     cutout_size: int | None = None   # strong images; None -> min(H, W) // 4
-    vector_jitter_sigma: float = 0.05
-    vector_mask_prob: float = 0.2    # strong vectors only
+    weak_jitter: float = 0.05
+    strong_jitter: float = 0.15
+    mask_prob: float = 0.2           # strong vectors only
 
     def __post_init__(self):
-        if self.kind not in ("weak", "strong"):
-            raise ValueError(f"unknown augmentation kind {self.kind!r}")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ValueError("flip_prob must lie in [0, 1]")
-        if not 0.0 <= self.vector_mask_prob <= 1.0:
-            raise ValueError("vector_mask_prob must lie in [0, 1]")
+        if not 0.0 <= self.mask_prob <= 1.0:
+            raise ValueError("mask_prob must lie in [0, 1]")
         if self.pad < 0 or (self.cutout_size is not None and self.cutout_size < 0):
             raise ValueError("pad and cutout_size must be >= 0")
-
-
-def weak_spec(**overrides) -> AugmentSpec:
-    return AugmentSpec(kind="weak", **overrides)
-
-
-def strong_spec(**overrides) -> AugmentSpec:
-    overrides.setdefault("vector_jitter_sigma", 0.15)
-    return AugmentSpec(kind="strong", **overrides)
+        for name in ("weak_jitter", "strong_jitter"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def _augment_images(xs: np.ndarray, pad: int, flips: np.ndarray, offsets: np.ndarray,
@@ -86,16 +81,16 @@ def _draw_flip_crop(n: int, spec: AugmentSpec, rng: np.random.Generator):
 def weak_batch(xs: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
     xs = np.asarray(xs)
     if xs.ndim < 3:  # flat vectors
-        return xs + rng.standard_normal(xs.shape) * spec.vector_jitter_sigma
+        return xs + rng.standard_normal(xs.shape) * spec.weak_jitter
     return _augment_images(xs, spec.pad, *_draw_flip_crop(len(xs), spec, rng))
 
 
 def strong_batch(xs: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
     xs = np.asarray(xs)
     if xs.ndim < 3:
-        out = xs + rng.standard_normal(xs.shape) * spec.vector_jitter_sigma
-        if spec.vector_mask_prob > 0:
-            out = np.where(rng.random(xs.shape) < spec.vector_mask_prob, 0.0, out)
+        out = xs + rng.standard_normal(xs.shape) * spec.strong_jitter
+        if spec.mask_prob > 0:
+            out = np.where(rng.random(xs.shape) < spec.mask_prob, 0.0, out)
         return out
     n, h, w = xs.shape[:3]
     size = min(h, w) // 4 if spec.cutout_size is None else spec.cutout_size

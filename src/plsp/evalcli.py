@@ -75,8 +75,7 @@ def _random_case(rng: np.random.Generator, l: int = 3, d_f: int = 8,
     return params, frozen, stats, x_weak, x_strong, mask
 
 
-def check_bound_direction(seed: int = 0, n_instances: int = 50,
-                          n_samples: int = 2000) -> CheckResult:
+def check_bound_direction(seed: int, n_instances: int, n_samples: int) -> CheckResult:
     """The shifted-softmax cross-entropy term must sit above the sampled
     strong-branch estimate minus 3 standard errors, for every instance. A
     non-finite slack fails its instance."""
@@ -179,8 +178,8 @@ def _mc_softmax_mean(a: np.ndarray, chol: np.ndarray, head: np.ndarray,
     return total / n_samples
 
 
-def check_weak_branch(seed: int = 0, n_samples: int = 1_000_000,
-                      n_cases: int = 12, rel_tol: float = 0.02) -> CheckResult:
+def check_weak_branch(seed: int, n_samples: int, n_cases: int = 12,
+                      rel_tol: float = 0.02) -> CheckResult:
     """Closed-form expected softmax vs a sampled estimate, per coordinate.
 
     Runs at the relative-error-calibrated slope on random 3-class, d_f = 8
@@ -213,8 +212,8 @@ def check_weak_branch(seed: int = 0, n_samples: int = 1_000_000,
                        f"(tol {rel_tol:g}, beta={BETA_RELATIVE}, K={n_samples})")
 
 
-def run_verify(seed: int = 0, n_instances: int = 50, mc_samples: int = 1_000_000,
-               bound_samples: int = 2000, out=None) -> bool:
+def run_verify(seed: int, n_instances: int, mc_samples: int, bound_samples: int,
+               out=None) -> bool:
     if n_instances < 1:
         raise ValueError("need n_instances >= 1")
     if mc_samples < 1:
@@ -249,11 +248,12 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(",") if v.strip())
 
 
-def _value_parser(name: str):
-    """The parser of a TrainConfig field's text value, for flags and config
-    files alike, chosen by the type of the field's default."""
-    parsers = {bool: _parse_bool, int: int, float: float, tuple: _parse_ints}
-    return parsers[type(_CONFIG_FIELDS[name].default)]
+def _value_parser(field: dataclasses.Field):
+    """The parser of a settings field's text value, for flags and config
+    files alike, chosen by how the field's annotation starts (so
+    ``int | None`` parses as int)."""
+    parsers = {"bool": _parse_bool, "int": int, "float": float, "tuple": _parse_ints}
+    return next(parse for word, parse in parsers.items() if field.type.startswith(word))
 
 
 def parse_config_file(path) -> dict:
@@ -271,31 +271,27 @@ def parse_config_file(path) -> dict:
             if key not in _CONFIG_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _value_parser(key)(val.strip())
+                values[key] = _value_parser(_CONFIG_FIELDS[key])(val.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
+def _from_flags(cls, args, values: dict):
+    """``cls`` built from ``values`` overridden by the flags that were set;
+    the dataclass supplies every other default."""
+    values.update((f.name, getattr(args, f.name)) for f in dataclasses.fields(cls)
+                  if getattr(args, f.name, None) is not None)
+    return cls(**values)
+
+
 def build_train_config(args) -> TrainConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for name in _CONFIG_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    return TrainConfig(**values)
+    config = getattr(args, "config", None)
+    return _from_flags(TrainConfig, args, parse_config_file(config) if config else {})
 
 
-def _augment_specs(args) -> tuple[augment.AugmentSpec, augment.AugmentSpec]:
-    weak = augment.weak_spec(
-        flip_prob=args.flip_prob, pad=args.pad,
-        vector_jitter_sigma=args.weak_jitter)
-    strong = augment.strong_spec(
-        flip_prob=args.flip_prob, pad=args.pad, cutout_size=args.cutout_size,
-        vector_jitter_sigma=args.strong_jitter, vector_mask_prob=args.mask_prob)
-    return weak, strong
+def build_augment_spec(args) -> augment.AugmentSpec:
+    return _from_flags(augment.AugmentSpec, args, {})
 
 
 def _write_metrics(path, records: list[MetricsRecord]) -> dict:
@@ -315,8 +311,15 @@ def _write_metrics(path, records: list[MetricsRecord]) -> dict:
             "best_macro_f1": best.macro_f1}
 
 
+def _candidates(args, ds: pldata.PLDataset, tag: int) -> np.ndarray:
+    """Candidate masks for ``ds`` by ``--strategy``, from rng substream ``tag``."""
+    rng = augment.derive_rng(args.seed, tag)
+    if args.strategy == "uss":
+        return pldata.generate_uss(ds.truth, ds.l, rng)
+    return pldata.generate_fps(ds.truth, ds.l, args.q, rng)
+
+
 def _cmd_generate(args) -> int:
-    spec = pldata.GenSpec(strategy=args.strategy, q=args.q)
     n_total = args.n + (args.n_test if args.test_out else 0)
     blob_rng = augment.derive_rng(args.seed, 11)
     ds = pldata.make_blobs(n_total, args.classes, args.dim, args.separation,
@@ -324,13 +327,11 @@ def _cmd_generate(args) -> int:
     if args.test_out:
         train, test = pldata.stratified_split(ds, args.n_test,
                                               augment.derive_rng(args.seed, 12))
-        test.candidates = pldata.generate_candidates(
-            test.truth, test.l, spec, augment.derive_rng(args.seed, 14))
+        test.candidates = _candidates(args, test, 14)
         pldata.write_dataset(args.test_out, test)
     else:
         train = ds
-    train.candidates = pldata.generate_candidates(
-        train.truth, train.l, spec, augment.derive_rng(args.seed, 13))
+    train.candidates = _candidates(args, train, 13)
     pldata.write_dataset(args.out, train)
     print(json.dumps({"written": str(args.out), "n": train.n, "l": train.l,
                       "strategy": args.strategy, "q": args.q}))
@@ -352,10 +353,10 @@ def _cmd_train(args) -> int:
     ds = pldata.read_dataset(args.data)
     test_ds = pldata.read_dataset(args.test) if args.test else None
     config = build_train_config(args)
-    weak, strong = _augment_specs(args)
+    spec = build_augment_spec(args)
     params = new_classifier(ds, config)
     pretrain(ds, params, config)
-    _, records = train_ss(ds, params, config, test_ds, weak, strong)
+    _, records = train_ss(ds, params, config, test_ds, spec)
     best = _write_metrics(args.metrics, records)
     save_checkpoint(args.out, params)
     print(json.dumps({"checkpoint": str(args.out), "metrics": str(args.metrics),
@@ -407,7 +408,7 @@ def _cmd_sweep_k(args) -> int:
     ds = pldata.read_dataset(args.data)
     test_ds = pldata.read_dataset(args.test) if args.test else None
     config = build_train_config(args)
-    weak, strong = _augment_specs(args)
+    spec = build_augment_spec(args)
     ks = [int(v) for v in args.ks.split(",") if v.strip()]
     base = new_classifier(ds, config)
     pretrain(ds, base, config)
@@ -415,7 +416,7 @@ def _cmd_sweep_k(args) -> int:
     for k in ks:
         cfg = dataclasses.replace(config, k=k)
         params = base.clone()
-        _, records = train_ss(ds, params, cfg, test_ds, weak, strong)
+        _, records = train_ss(ds, params, cfg, test_ds, spec)
         best = max(records, key=lambda r: r.micro_f1) if records else None
         line = {"k": k,
                 "best_micro_f1": best.micro_f1 if best else 0.0,
@@ -430,27 +431,23 @@ def _cmd_sweep_k(args) -> int:
     return 0
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """--field-name per TrainConfig field (plus --lr); unset flags stay None
-    so config-file values show through."""
-    p.add_argument("--config", default=None, help="key = value config file")
-    for name in _CONFIG_FIELDS:
-        flags = ["--" + name.replace("_", "-"), *_FLAG_ALIASES.get(name, ())]
-        parse = _value_parser(name)
+def _add_field_flags(p: argparse.ArgumentParser, cls) -> None:
+    """--field-name per field of the dataclass ``cls`` (plus --lr); unset
+    flags stay None, so config-file values and the dataclass defaults show
+    through."""
+    for f in dataclasses.fields(cls):
+        flags = ["--" + f.name.replace("_", "-"), *_FLAG_ALIASES.get(f.name, ())]
+        parse = _value_parser(f)
         if parse is _parse_bool:
-            p.add_argument(*flags, dest=name, action="store_const", const=True,
+            p.add_argument(*flags, dest=f.name, action="store_const", const=True,
                            default=None)
         else:
-            p.add_argument(*flags, dest=name, type=parse, default=None)
+            p.add_argument(*flags, dest=f.name, type=parse, default=None)
 
 
-def _add_augment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--flip-prob", dest="flip_prob", type=float, default=0.5)
-    p.add_argument("--pad", type=int, default=4)
-    p.add_argument("--cutout-size", dest="cutout_size", type=int, default=None)
-    p.add_argument("--weak-jitter", dest="weak_jitter", type=float, default=0.05)
-    p.add_argument("--strong-jitter", dest="strong_jitter", type=float, default=0.15)
-    p.add_argument("--mask-prob", dest="mask_prob", type=float, default=0.2)
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", default=None, help="key = value config file")
+    _add_field_flags(p, TrainConfig)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -482,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", required=True)
     _add_config_flags(p)
-    _add_augment_flags(p)
+    _add_field_flags(p, augment.AugmentSpec)
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("df-baseline", help="train with the candidate-averaged loss only")
@@ -513,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", default="0,50,100,200")
     p.add_argument("--out", default=None)
     _add_config_flags(p)
-    _add_augment_flags(p)
+    _add_field_flags(p, augment.AugmentSpec)
     p.set_defaults(handler=_cmd_sweep_k)
     return parser
 

@@ -76,18 +76,6 @@ class PLDataset:
                 raise MaskInvariantError("truth label missing from a candidate set")
 
 
-@dataclass
-class GenSpec:
-    strategy: str                 # "uss" | "fps"
-    q: float = 0.0                # flip probability, fps only
-
-    def __post_init__(self):
-        if self.strategy not in ("uss", "fps"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "fps" and not 0.0 <= self.q < 1.0:
-            raise ValueError("flip probability q must lie in [0, 1)")
-
-
 def generate_uss(truth_labels: np.ndarray, l: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform candidate sets: each subset containing the truth, excluding the
     full label set, is equally likely (Bernoulli(1/2) inclusion + rejection)."""
@@ -138,14 +126,6 @@ def generate_fps(truth_labels: np.ndarray, l: int, q: float,
         masks[pending] = flips
         pending = pending[counts == l - 1]  # full set: resample the flip vector
     return masks
-
-
-def generate_candidates(truth_labels: np.ndarray, l: int, spec: GenSpec,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Candidate masks by the strategy ``spec`` names."""
-    if spec.strategy == "uss":
-        return generate_uss(truth_labels, l, rng)
-    return generate_fps(truth_labels, l, spec.q, rng)
 
 
 def _place_centers(l: int, d: int, separation: float, rng: np.random.Generator) -> np.ndarray:

@@ -14,8 +14,6 @@ root is dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -287,25 +285,12 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-@dataclass
-class SgdConfig:
-    learning_rate: float
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-
-
 class SgdOptimizer:
-    """Classic momentum SGD: v <- mu*v + g + wd*p; p <- p - lr*v."""
+    """Classic momentum SGD: v <- mu*v + g + wd*p; p <- p - lr*v, with lr, mu
+    and wd the ``learning_rate``, ``momentum`` and ``weight_decay`` of the
+    run's ``TrainConfig``, which checks their ranges."""
 
-    def __init__(self, params: list[Tensor], config: SgdConfig):
+    def __init__(self, params: list[Tensor], config):
         self.params = params
         self.config = config
         self.velocity = [np.zeros_like(p.data) for p in params]

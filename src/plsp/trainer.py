@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -33,7 +34,7 @@ from .objective import (assemble_batch, loss_complementary_semantic,  # noqa: F4
                         weak_cav_pseudo_labels)
 from .pldata import PLDataset
 from .semstats import ClassCovStats, DEFAULT_BETA, update_cov_stats
-from .tensorcore import SgdConfig, SgdOptimizer
+from .tensorcore import SgdOptimizer
 
 # rng substream purposes
 _TAG_INIT = 1
@@ -64,19 +65,27 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (128, 64)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if not 0.5 < self.tau0 <= 1.0:
             raise ValueError("tau0 must lie in (0.5, 1]")
         if self.gamma0 < 0 or self.lambda0 < 0:
             raise ValueError("gamma0 and lambda0 must be >= 0")
         for name in ("k", "pretrain_epochs", "ss_epochs", "inner_iters",
-                     "batch_labeled", "batch_unlabeled"):
+                     "batch_labeled", "batch_unlabeled", "learning_rate",
+                     "weight_decay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.tau_floor <= self.tau0:
             raise ValueError("tau_floor must lie in [0, tau0]")
-
-    def sgd(self) -> SgdConfig:
-        return SgdConfig(self.learning_rate, self.momentum, self.weight_decay)
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        if self.beta <= 0:
+            raise ValueError("beta must be > 0")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ValueError("hidden_dims widths must be >= 1")
 
 
 @dataclass
@@ -211,7 +220,7 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
     objective."""
     x = ds.flat_features().astype(np.float64)
     rng = derive_rng(config.seed, _TAG_PRETRAIN)
-    opt = SgdOptimizer(params.parameters(), config.sgd())
+    opt = SgdOptimizer(params.parameters(), config)
     for t in range(epochs):
         start = time.perf_counter()
         cycler = _Cycler(np.arange(ds.n), rng)
@@ -255,9 +264,7 @@ _SUMMED = ("loss_sup", "reg_u", "loss_cl", "total", "h_pass_rate", "clamped", "s
 
 
 def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
-             test_ds: PLDataset | None = None,
-             weak: AugmentSpec | None = None,
-             strong: AugmentSpec | None = None,
+             test_ds: PLDataset | None = None, spec: AugmentSpec | None = None,
              on_epoch=None) -> tuple[ClassifierParams, list[MetricsRecord]]:
     """Semi-supervised stage over the pseudo-split, refreshed every epoch.
 
@@ -269,8 +276,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
     thresholds. Each epoch's MetricsRecord goes to ``on_epoch`` and into the
     returned list.
     """
-    weak = weak or augment.weak_spec()
-    strong = strong or augment.strong_spec()
+    spec = spec or AugmentSpec()
     n_epochs = config.ss_epochs
     records: list[MetricsRecord] = []
     if n_epochs == 0:
@@ -280,7 +286,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
     x_raw = ds.features.astype(np.float64)
     stats = ClassCovStats(l, params.feature_dim)
     sigma = np.zeros(l, dtype=np.int64)   # confident counts of the last epoch
-    opt = SgdOptimizer(params.parameters(), config.sgd())  # fresh momentum
+    opt = SgdOptimizer(params.parameters(), config)  # fresh momentum
     batch_rng = derive_rng(config.seed, _TAG_BATCH)
 
     for t in range(n_epochs):
@@ -310,8 +316,8 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
             if unl.size:
                 wk_rng = derive_rng(config.seed, _TAG_AUG_WEAK, t, c)
                 st_rng = derive_rng(config.seed, _TAG_AUG_STRONG, t, c)
-                x_w = augment.weak_batch(x_raw[unl], weak, wk_rng).reshape(unl.size, -1)
-                x_s = augment.strong_batch(x_raw[unl], strong, st_rng).reshape(unl.size, -1)
+                x_w = augment.weak_batch(x_raw[unl], spec, wk_rng).reshape(unl.size, -1)
+                x_s = augment.strong_batch(x_raw[unl], spec, st_rng).reshape(unl.size, -1)
             if lab.size:
                 update_cov_stats(stats, params.eval_features(x_flat[lab]), lab_y[lab])
 

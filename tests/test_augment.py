@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plsp.augment import (AugmentSpec, _augment_images, derive_rng, strong,
-                          strong_batch, weak, weak_batch, weak_spec, strong_spec)
+                          strong_batch, weak, weak_batch)
 
 
 # -- per-image reference loop, fed explicit draws --
@@ -71,7 +71,7 @@ def test_batched_images_equal_per_image_reference(case):
 
 def test_image_batches_draw_flips_offsets_centres_in_order():
     xs = np.random.default_rng(0).standard_normal((6, 5, 7, 2))
-    spec = strong_spec(pad=2, cutout_size=3, flip_prob=0.5)
+    spec = AugmentSpec(pad=2, cutout_size=3, flip_prob=0.5)
     rng, replay = derive_rng(9, 1), derive_rng(9, 1)
     out = strong_batch(xs, spec, rng)
     flips = replay.random(6) < 0.5
@@ -80,7 +80,7 @@ def test_image_batches_draw_flips_offsets_centres_in_order():
     assert np.array_equal(out, _oracle(xs, 2, flips, offsets, 3, centres))
     assert rng.bit_generator.state == replay.bit_generator.state
     rng, replay = derive_rng(9, 2), derive_rng(9, 2)
-    out = weak_batch(xs, weak_spec(pad=2, flip_prob=0.5), rng)
+    out = weak_batch(xs, AugmentSpec(pad=2, flip_prob=0.5), rng)
     flips = replay.random(6) < 0.5
     offsets = replay.integers(0, 5, size=(6, 2))
     assert np.array_equal(out, _oracle(xs, 2, flips, offsets, 0, centres))
@@ -89,7 +89,7 @@ def test_image_batches_draw_flips_offsets_centres_in_order():
 
 def test_single_image_is_a_batch_of_one():
     x = np.random.default_rng(3).standard_normal((6, 5, 2))
-    spec = strong_spec(pad=1, cutout_size=2)
+    spec = AugmentSpec(pad=1, cutout_size=2)
     assert np.array_equal(strong(x, spec, derive_rng(4, 1)),
                           strong_batch(x[None], spec, derive_rng(4, 1))[0])
     assert np.array_equal(weak(x[..., 0], spec, derive_rng(4, 2)),
@@ -119,7 +119,7 @@ def test_flip_fraction_within_three_se():
     row = np.arange(1.0, w + 1)
     xs = np.broadcast_to(row, (n, h, w)).copy()
     for flip_prob in (0.0, 0.3, 0.5, 1.0):
-        spec = weak_spec(pad=0, flip_prob=flip_prob)
+        spec = AugmentSpec(pad=0, flip_prob=flip_prob)
         flipped = np.concatenate([
             weak_batch(xs, spec, derive_rng(5, b))[:, 0, 0] == w for b in range(batches)])
         se = np.sqrt(flip_prob * (1 - flip_prob) / flipped.size)
@@ -130,7 +130,7 @@ def test_crop_offsets_uniform_chi_square():
     from scipy.stats import chisquare
     pad, n, batches = 2, 200, 20
     xs = np.ones((n, 6, 5, 1))
-    spec = weak_spec(pad=pad, flip_prob=0.0)
+    spec = AugmentSpec(pad=pad, flip_prob=0.0)
     pairs = []
     for b in range(batches):
         tops, lefts = _crop_offsets(weak_batch(xs, spec, derive_rng(6, b)), pad)
@@ -143,7 +143,7 @@ def test_crop_offsets_uniform_chi_square():
 def test_cutout_centres_uniform_chi_square():
     from scipy.stats import chisquare
     h, w, n, batches = 4, 5, 100, 30
-    spec = strong_spec(pad=0, flip_prob=0.0, cutout_size=1)
+    spec = AugmentSpec(pad=0, flip_prob=0.0, cutout_size=1)
     xs = np.ones((n, h, w))
     hits = []
     for b in range(batches):
@@ -156,7 +156,7 @@ def test_cutout_centres_uniform_chi_square():
 
 def test_images_in_one_batch_do_not_share_draws():
     pad, batches = 2, 2000
-    crop, cut = weak_spec(pad=pad, flip_prob=0.0), strong_spec(pad=0, cutout_size=1)
+    crop, cut = AugmentSpec(pad=pad, flip_prob=0.0), AugmentSpec(pad=0, cutout_size=1)
     xs = np.ones((2, 6, 6))
     same_offsets = same_centre = 0
     for b in range(batches):
@@ -178,12 +178,12 @@ def test_flat_path_output_pinned():
     """Pinned digests of the flat path's output: any change to its draws or
     its arithmetic shows here."""
     xs = np.random.default_rng(5).standard_normal((7, 5))
-    weak_out = weak_batch(xs, weak_spec(), derive_rng(3, 4))
-    strong_out = strong_batch(xs, strong_spec(), derive_rng(3, 5))
+    weak_out = weak_batch(xs, AugmentSpec(), derive_rng(3, 4))
+    strong_out = strong_batch(xs, AugmentSpec(), derive_rng(3, 5))
     assert _digest(weak_out) == "7af18aa3bc1a956a"
     assert _digest(strong_out) == "a103e2028c7d9e45"
-    assert _digest(weak(xs[0], weak_spec(), derive_rng(3, 6))) == "26fe562eefe87c15"
-    assert _digest(strong(xs[0], strong_spec(), derive_rng(3, 7))) == "4373c86edae7d131"
+    assert _digest(weak(xs[0], AugmentSpec(), derive_rng(3, 6))) == "26fe562eefe87c15"
+    assert _digest(strong(xs[0], AugmentSpec(), derive_rng(3, 7))) == "4373c86edae7d131"
     assert weak_out[0, :3].tolist() == [-0.8187637172684501, -1.2563955979950523,
                                         -0.12257798257873628]
     assert strong_out[0, :3].tolist() == [-0.782023893908012, -1.3322241904531487,
@@ -192,7 +192,7 @@ def test_flat_path_output_pinned():
 
 def test_identity_configuration_image():
     img = np.arange(24, dtype=np.float64).reshape(4, 3, 2)
-    spec = weak_spec(flip_prob=0.0, pad=0)
+    spec = AugmentSpec(flip_prob=0.0, pad=0)
     out = weak(img, spec, np.random.default_rng(0))
     assert np.array_equal(out, img)
 
@@ -201,13 +201,13 @@ def test_weak_shape_preserved():
     rng = np.random.default_rng(1)
     for shape in [(8, 8, 1), (5, 7, 3), (16,)]:
         x = rng.standard_normal(shape)
-        assert weak(x, weak_spec(), derive_rng(0, 1)).shape == shape
-        assert strong(x, strong_spec(cutout_size=2), derive_rng(0, 2)).shape == shape
+        assert weak(x, AugmentSpec(), derive_rng(0, 1)).shape == shape
+        assert strong(x, AugmentSpec(cutout_size=2), derive_rng(0, 2)).shape == shape
 
 
 def test_constant_image_stays_constant_up_to_padding():
     img = np.full((6, 6, 1), 3.5)
-    out = weak(img, weak_spec(pad=2), np.random.default_rng(3))
+    out = weak(img, AugmentSpec(pad=2), np.random.default_rng(3))
     assert set(np.unique(out)) <= {0.0, 3.5}
 
 
@@ -216,7 +216,7 @@ def test_cutout_zeroes_exact_square_when_inside():
     size = 4
     found_exact = False
     for seed in range(60):
-        out = strong(img, strong_spec(flip_prob=0.0, pad=0, cutout_size=size),
+        out = strong(img, AugmentSpec(flip_prob=0.0, pad=0, cutout_size=size),
                      np.random.default_rng(seed))
         zeros = int((out == 0).sum())
         assert zeros <= size * size
@@ -230,21 +230,19 @@ def test_cutout_zeroes_exact_square_when_inside():
 
 def test_strong_with_randomness_off_equals_weak():
     img = np.arange(48, dtype=np.float64).reshape(4, 4, 3)
-    w = weak_spec(flip_prob=0.0, pad=0)
-    s = strong_spec(flip_prob=0.0, pad=0, cutout_size=0)
+    spec = AugmentSpec(flip_prob=0.0, pad=0, cutout_size=0)
     rng1, rng2 = np.random.default_rng(0), np.random.default_rng(0)
-    assert np.array_equal(strong(img, s, rng1), weak(img, w, rng2))
+    assert np.array_equal(strong(img, spec, rng1), weak(img, spec, rng2))
     vec = np.linspace(-1, 1, 9)
-    wv = weak_spec(vector_jitter_sigma=0.0)
-    sv = strong_spec(vector_jitter_sigma=0.0, vector_mask_prob=0.0)
-    assert np.array_equal(strong(vec, sv, np.random.default_rng(1)),
-                          weak(vec, wv, np.random.default_rng(1)))
-    assert np.array_equal(weak(vec, wv, np.random.default_rng(2)), vec)
+    spec = AugmentSpec(weak_jitter=0.0, strong_jitter=0.0, mask_prob=0.0)
+    assert np.array_equal(strong(vec, spec, np.random.default_rng(1)),
+                          weak(vec, spec, np.random.default_rng(1)))
+    assert np.array_equal(weak(vec, spec, np.random.default_rng(2)), vec)
 
 
 def test_vector_mask_fraction_binomial():
     rng = np.random.default_rng(9)
-    spec = strong_spec(vector_jitter_sigma=0.0, vector_mask_prob=0.2)
+    spec = AugmentSpec(strong_jitter=0.0, mask_prob=0.2)
     d, n = 32, 10_000
     base = np.ones((n, d))
     out = strong_batch(base, spec, rng)
@@ -255,39 +253,38 @@ def test_vector_mask_fraction_binomial():
 
 def test_determinism_same_seed_same_output():
     x = np.random.default_rng(0).standard_normal((6, 6, 2))
-    spec = strong_spec(cutout_size=2)
+    spec = AugmentSpec(cutout_size=2)
     a = strong(x, spec, derive_rng(42, 1, 2, 3))
     b = strong(x, spec, derive_rng(42, 1, 2, 3))
     assert np.array_equal(a, b)
     v = np.random.default_rng(1).standard_normal(10)
-    a = weak(v, weak_spec(), derive_rng(7, 0))
-    b = weak(v, weak_spec(), derive_rng(7, 0))
+    a = weak(v, AugmentSpec(), derive_rng(7, 0))
+    b = weak(v, AugmentSpec(), derive_rng(7, 0))
     assert np.array_equal(a, b)
 
 
 def test_weak_strong_substreams_independent():
     v = np.zeros(50)
-    xw = weak(v, weak_spec(), derive_rng(11, 1, 0, 0))
-    xs = strong(v, strong_spec(), derive_rng(11, 2, 0, 0))
+    xw = weak(v, AugmentSpec(), derive_rng(11, 1, 0, 0))
+    xs = strong(v, AugmentSpec(), derive_rng(11, 2, 0, 0))
     assert not np.allclose(xw, xs)
 
 
 def test_batch_matches_shapes():
     rng = np.random.default_rng(2)
     flat = rng.standard_normal((8, 5))
-    assert weak_batch(flat, weak_spec(), derive_rng(0, 1)).shape == (8, 5)
+    assert weak_batch(flat, AugmentSpec(), derive_rng(0, 1)).shape == (8, 5)
     imgs = rng.standard_normal((4, 6, 6, 1))
-    assert strong_batch(imgs, strong_spec(cutout_size=2), derive_rng(0, 2)).shape \
+    assert strong_batch(imgs, AugmentSpec(cutout_size=2), derive_rng(0, 2)).shape \
         == (4, 6, 6, 1)
 
 
 def test_spec_validation():
+    for bad in ({"flip_prob": 1.5}, {"pad": -1}, {"cutout_size": -1},
+                {"mask_prob": np.nan}, {"weak_jitter": np.inf},
+                {"strong_jitter": np.nan}, {"weak_jitter": -0.1}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            AugmentSpec(**bad)
     with pytest.raises(ValueError):
-        AugmentSpec(kind="weird")
-    with pytest.raises(ValueError):
-        AugmentSpec(kind="weak", flip_prob=1.5)
-    with pytest.raises(ValueError):
-        AugmentSpec(kind="strong", pad=-1)
-    with pytest.raises(ValueError):
-        strong(np.ones((4, 4, 1)), strong_spec(flip_prob=0.0, pad=0, cutout_size=9),
+        strong(np.ones((4, 4, 1)), AugmentSpec(flip_prob=0.0, pad=0, cutout_size=9),
                np.random.default_rng(0))

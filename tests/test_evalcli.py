@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from plsp import evalcli
+from plsp.augment import AugmentSpec
 from plsp.evalcli import (MetricsRecord, _mc_softmax_mean, beta_sup_errors,
-                          build_train_config, check_lambda_zero, cli_main,
-                          macro_micro_f1, parse_config_file)
+                          build_augment_spec, build_train_config, check_lambda_zero,
+                          cli_main, macro_micro_f1, parse_config_file)
 from plsp.model import ClassifierParams, init_classifier, save_checkpoint
 from plsp.pldata import PLDataset, read_dataset, write_dataset
 from plsp.tensorcore import Tensor, softmax
@@ -191,6 +193,87 @@ def test_bad_config_value_exits_2_as_flag_and_4_in_file(tmp_path, capsys, name, 
     assert name in json.loads(capsys.readouterr().err)["error"]
 
 
+# the arguments each command requires besides its settings flags
+_REQUIRED = {"train": ["--data", "d", "--out", "o", "--metrics", "m"],
+             "sweep-k": ["--data", "d"],
+             "df-baseline": ["--data", "d", "--metrics", "m"],
+             "pretrain": ["--data", "d", "--out", "o"]}
+
+
+def _flag(field) -> str:
+    return "--" + field.name.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+def test_settings_flags_come_from_the_dataclasses(command):
+    parser = evalcli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [s for action in sub.choices[command]._actions for s in action.option_strings]
+    for cls in (TrainConfig, AugmentSpec):
+        for field in dataclasses.fields(cls):
+            assert flags.count(_flag(field)) == 1, field.name
+    args = parser.parse_args([command, *_REQUIRED[command]])
+    assert build_train_config(args) == TrainConfig()
+    assert build_augment_spec(args) == AugmentSpec()
+
+
+@pytest.mark.parametrize("command", ["df-baseline", "pretrain"])
+def test_augmentation_flags_exit_2_where_nothing_is_augmented(capsys, command):
+    for field in dataclasses.fields(AugmentSpec):
+        assert _run([command, *_REQUIRED[command], _flag(field), "2"]) == 2
+        assert _flag(field) in capsys.readouterr().err
+
+
+def test_generate_checks_strategy_and_q(tmp_path, capsys):
+    out, test_out = tmp_path / "d.plsp", tmp_path / "t.plsp"
+    small = ["--out", str(out), "--test-out", str(test_out), "--n", "30",
+             "--n-test", "9", "--classes", "3"]
+    assert _run(["generate", *small, "--strategy", "bogus"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert _run(["generate", *small, "--strategy", "fps", "--q", "1.0"]) == 4
+    assert "flip probability q" in json.loads(capsys.readouterr().err)["error"]
+    assert list(tmp_path.iterdir()) == []
+    assert _run(["generate", *small, "--strategy", "uss", "--q", "0.7"]) == 0  # q unused
+    assert (read_dataset(out).n, read_dataset(test_out).n) == (30, 9)
+
+
+def _no_training(*args, **kwargs):
+    pytest.fail("a model was built for settings that should be rejected")
+
+
+def _train_rejects_settings(tmp_path, monkeypatch, capsys, *settings) -> None:
+    """``train`` with ``settings`` exits 4 before it builds a model, and
+    writes neither a checkpoint nor a metrics file."""
+    data = tmp_path / "d.plsp"
+    assert _run(["generate", "--out", str(data), "--n", "30", "--classes", "3"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(evalcli, "new_classifier", _no_training)
+    assert _run(["train", "--data", str(data), "--out", str(tmp_path / "m.plsw"),
+                 "--metrics", str(tmp_path / "m.jsonl"), *settings]) == 4
+    assert json.loads(capsys.readouterr().err)["code"] == 4
+    assert not (tmp_path / "m.plsw").exists() and not (tmp_path / "m.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--beta", "0"), ("--beta", "-1"), ("--beta", "nan"), ("--beta", "inf"),
+    ("--gamma0", "nan"), ("--gamma0", "inf"), ("--lambda0", "nan"),
+    ("--lambda0", "inf"), ("--lr", "nan"), ("--lr", "inf"),
+    ("--weight-decay", "nan"), ("--weight-decay", "inf"),
+    ("--weak-jitter", "inf"), ("--weak-jitter", "-0.1"), ("--strong-jitter", "nan"),
+])
+def test_bad_setting_exits_4_before_training(tmp_path, monkeypatch, capsys, flag, value):
+    _train_rejects_settings(tmp_path, monkeypatch, capsys, flag, value)
+
+
+@pytest.mark.parametrize("widths", ["8,0", "0"])
+def test_zero_hidden_width_exits_4_from_flag_and_config_file(tmp_path, monkeypatch,
+                                                              capsys, widths):
+    _train_rejects_settings(tmp_path, monkeypatch, capsys, "--hidden-dims", widths)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"hidden_dims = {widths}\n", encoding="utf-8")
+    _train_rejects_settings(tmp_path, monkeypatch, capsys, "--config", str(cfg))
+
+
 def test_removed_eig_floor_flag_exits_2():
     assert _run(["pretrain", "--data", "d", "--out", "o", "--eig-floor", "0.1"]) == 2
 
@@ -241,10 +324,10 @@ def _nan_on_call(monkeypatch, name: str, call: int) -> None:
 
 @pytest.mark.parametrize("check,name,kwargs", [
     (evalcli.check_bound_direction, "shifted_softmax_probs",
-     {"n_instances": 4, "n_samples": 500}),
+     {"seed": 0, "n_instances": 4, "n_samples": 500}),
     (evalcli.check_lambda_zero, "softmax", {"n_batches": 3}),
     (evalcli.check_weak_branch, "_mc_softmax_mean",
-     {"n_samples": 200_000, "n_cases": 3}),
+     {"seed": 0, "n_samples": 200_000, "n_cases": 3}),
 ], ids=["bound-direction", "lambda-zero", "weak-branch"])
 def test_nan_in_one_case_fails_the_check(monkeypatch, check, name, kwargs):
     assert check(**kwargs).passed

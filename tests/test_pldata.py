@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from plsp.pldata import (BadMagicError, BadVersionError, DatasetFormatError, GenSpec,
+from plsp.pldata import (BadMagicError, BadVersionError, DatasetFormatError,
                          MaskInvariantError, PLDataset, TruncatedPayloadError,
                          generate_fps, generate_uss, make_blobs, read_dataset,
                          stratified_split, write_dataset)
@@ -127,14 +127,6 @@ def test_fps_invariants_random():
 def test_fps_rejects_q_one():
     with pytest.raises(ValueError):
         generate_fps(np.array([0]), 3, 1.0, np.random.default_rng(0))
-
-
-def test_genspec_validation():
-    with pytest.raises(ValueError):
-        GenSpec(strategy="fps", q=1.0)
-    with pytest.raises(ValueError):
-        GenSpec(strategy="bogus")
-    GenSpec(strategy="uss", q=0.7)  # q ignored for uss
 
 
 # -- blob synthesis ------------------------------------------------------------

@@ -4,8 +4,14 @@ import weakref
 import numpy as np
 import pytest
 
-from plsp.tensorcore import (NoGradientError, SgdConfig, SgdOptimizer, Tensor,
-                             gradients, softmax)
+from plsp.tensorcore import NoGradientError, SgdOptimizer, Tensor, gradients, softmax
+from plsp.trainer import TrainConfig
+
+
+def sgd_config(learning_rate, momentum=0.0, weight_decay=0.0) -> TrainConfig:
+    """A run config that sets the optimizer's three settings."""
+    return TrainConfig(learning_rate=learning_rate, momentum=momentum,
+                       weight_decay=weight_decay)
 
 
 def finite_diff(f, arrays, h=1e-5):
@@ -124,22 +130,22 @@ def test_softmax_rows_sum_to_one():
 
 def test_sgd_basic_step():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = SgdOptimizer([p], SgdConfig(learning_rate=0.1))
+    opt = SgdOptimizer([p], sgd_config(0.1))
     opt.step([np.array([2.0])])
     assert np.isclose(p.data[0], 0.8)
 
 
 def test_sgd_zero_grad_no_decay_is_identity():
     p = Tensor(np.array([3.0, -1.0]), requires_grad=True)
-    opt = SgdOptimizer([p], SgdConfig(learning_rate=0.5))
+    opt = SgdOptimizer([p], sgd_config(0.5))
     opt.step([np.zeros(2)])
     assert np.allclose(p.data, [3.0, -1.0])
 
 
 def test_sgd_zero_lr_is_identity():
     p = Tensor(np.array([3.0, -1.0]), requires_grad=True)
-    opt = SgdOptimizer([p], SgdConfig(learning_rate=0.0, momentum=0.9,
-                                      weight_decay=0.1))
+    opt = SgdOptimizer([p], sgd_config(0.0, momentum=0.9,
+                                       weight_decay=0.1))
     opt.step([np.array([5.0, 5.0])])
     assert np.allclose(p.data, [3.0, -1.0])
 
@@ -154,7 +160,7 @@ def test_sgd_momentum_matches_hand_unrolled():
     p2 = p1 - lr * v
 
     p = Tensor(np.array([p0]), requires_grad=True)
-    opt = SgdOptimizer([p], SgdConfig(lr, mu, wd))
+    opt = SgdOptimizer([p], sgd_config(lr, mu, wd))
     opt.step([np.array([g1])])
     assert np.isclose(p.data[0], p1)
     opt.step([np.array([g2])])
@@ -164,16 +170,17 @@ def test_sgd_momentum_matches_hand_unrolled():
 def test_sgd_step_function_shape_mismatch():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with pytest.raises(ValueError):
-        SgdOptimizer([p], SgdConfig(0.1)).step([np.zeros(3)])
+        SgdOptimizer([p], sgd_config(0.1)).step([np.zeros(3)])
 
 
 def test_sgd_config_validation():
-    with pytest.raises(ValueError):
-        SgdConfig(learning_rate=-0.1)
-    with pytest.raises(ValueError):
-        SgdConfig(learning_rate=0.1, momentum=1.0)
-    with pytest.raises(ValueError):
-        SgdConfig(learning_rate=0.1, weight_decay=-1e-3)
+    """The run's TrainConfig holds the optimizer's range checks."""
+    with pytest.raises(ValueError, match="learning_rate must be >= 0"):
+        TrainConfig(learning_rate=-0.1)
+    with pytest.raises(ValueError, match=r"momentum must lie in \[0, 1\)"):
+        TrainConfig(momentum=1.0)
+    with pytest.raises(ValueError, match="weight_decay must be >= 0"):
+        TrainConfig(weight_decay=-1e-3)
 
 
 def test_matmul_requires_rank_two():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,14 @@ def test_config_validation():
         TrainConfig(k=-1)
     with pytest.raises(ValueError):
         TrainConfig(tau_floor=0.9, tau0=0.8)
+    for field, value in [("beta", 0.0), ("beta", -1.0), ("beta", math.nan),
+                         ("beta", math.inf), ("gamma0", math.inf),
+                         ("lambda0", math.nan), ("learning_rate", math.inf),
+                         ("weight_decay", math.nan), ("hidden_dims", (8, 0)),
+                         ("hidden_dims", (0,))]:
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+    assert TrainConfig(hidden_dims=()).hidden_dims == ()  # no hidden layer is legal
 
 
 # -- pre-training ------------------------------------------------------------------
@@ -120,7 +130,7 @@ def test_full_batch_descent_is_nonincreasing():
     config = _tiny_config(learning_rate=0.01, momentum=0.0, weight_decay=0.0)
     params = new_classifier(ds, config)
     x = ds.flat_features().astype(np.float64)
-    opt = SgdOptimizer(params.parameters(), config.sgd())
+    opt = SgdOptimizer(params.parameters(), config)
     losses = []
     for _ in range(30):
         loss, _ = loss_df(_log_softmax(params, x), ds.candidates)
@@ -154,9 +164,8 @@ def test_train_ss_gamma_lambda_zero_equals_complementary_only():
 
     # direct mirror: only the complementary term drives the updates
     from plsp.trainer import _TAG_AUG_STRONG, _TAG_AUG_WEAK, _TAG_BATCH
-    weak, strong = augment.weak_spec(), augment.strong_spec()
     x_flat = ds.flat_features().astype(np.float64)
-    opt = SgdOptimizer(params_b.parameters(), config.sgd())
+    opt = SgdOptimizer(params_b.parameters(), config)
     batch_rng = augment.derive_rng(config.seed, _TAG_BATCH)
     split = build_pseudo_split(ds, snapshot_frozen(params_b), config.k)
     lab_cycler = (_Cycler(split.labeled_idx, batch_rng)
@@ -169,8 +178,8 @@ def test_train_ss_gamma_lambda_zero_equals_complementary_only():
                           unl_cycler, batch_rng)
         frozen = snapshot_frozen(params_b)
         wk_rng = augment.derive_rng(config.seed, _TAG_AUG_WEAK, 0, c)
-        x_w = augment.weak_batch(ds.features[unl].astype(np.float64), weak,
-                                 wk_rng).reshape(unl.size, -1)
+        x_w = augment.weak_batch(ds.features[unl].astype(np.float64),
+                                 augment.AugmentSpec(), wk_rng).reshape(unl.size, -1)
         augment.derive_rng(config.seed, _TAG_AUG_STRONG, 0, c)
         sem = weak_cav_pseudo_labels(frozen, x_w, ds.candidates[unl])
         from plsp.semstats import ClassCovStats
