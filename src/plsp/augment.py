@@ -48,6 +48,16 @@ class AugmentSpec:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
 
+    def cutout_side(self, shape: tuple[int, ...]) -> int:
+        """The strong cutout's side on instances of ``shape``: (H, W, ...)
+        grids, or 0 on flat vectors. ValueError if it exceeds the grid."""
+        if len(shape) < 2:
+            return 0
+        size = min(shape[:2]) // 4 if self.cutout_size is None else self.cutout_size
+        if size > min(shape[:2]):
+            raise ValueError("cutout_size exceeds grid")
+        return size
+
 
 def _augment_images(xs: np.ndarray, pad: int, flips: np.ndarray, offsets: np.ndarray,
                     size: int = 0, centres: np.ndarray | None = None) -> np.ndarray:
@@ -93,9 +103,7 @@ def strong_batch(xs: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) ->
             out = np.where(rng.random(xs.shape) < spec.mask_prob, 0.0, out)
         return out
     n, h, w = xs.shape[:3]
-    size = min(h, w) // 4 if spec.cutout_size is None else spec.cutout_size
-    if size > min(h, w):
-        raise ValueError("cutout_size exceeds grid")
+    size = spec.cutout_side(xs.shape[1:])
     flips, offsets = _draw_flip_crop(n, spec, rng)
     centres = rng.integers(0, (h, w), size=(n, 2))
     return _augment_images(xs, spec.pad, flips, offsets, size, centres)

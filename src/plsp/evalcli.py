@@ -338,9 +338,19 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_pretrain(args) -> int:
+def _train_inputs(args):
+    """A training command's datasets, TrainConfig and AugmentSpec, checked
+    before any training; defaults stand in for the flags it lacks."""
     ds = pldata.read_dataset(args.data)
+    test_ds = pldata.read_dataset(args.test) if getattr(args, "test", None) else None
     config = build_train_config(args)
+    spec = build_augment_spec(args)
+    spec.cutout_side(ds.feature_shape)
+    return ds, test_ds, config, spec
+
+
+def _cmd_pretrain(args) -> int:
+    ds, _, config, _ = _train_inputs(args)
     params = new_classifier(ds, config)
     pretrain(ds, params, config)
     save_checkpoint(args.out, params)
@@ -350,10 +360,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    ds = pldata.read_dataset(args.data)
-    test_ds = pldata.read_dataset(args.test) if args.test else None
-    config = build_train_config(args)
-    spec = build_augment_spec(args)
+    ds, test_ds, config, spec = _train_inputs(args)
     params = new_classifier(ds, config)
     pretrain(ds, params, config)
     _, records = train_ss(ds, params, config, test_ds, spec)
@@ -365,9 +372,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_df_baseline(args) -> int:
-    ds = pldata.read_dataset(args.data)
-    test_ds = pldata.read_dataset(args.test) if args.test else None
-    config = build_train_config(args)
+    ds, test_ds, config, _ = _train_inputs(args)
     epochs = args.epochs if args.epochs is not None \
         else config.pretrain_epochs + config.ss_epochs
     params = new_classifier(ds, config)
@@ -405,23 +410,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep_k(args) -> int:
-    ds = pldata.read_dataset(args.data)
-    test_ds = pldata.read_dataset(args.test) if args.test else None
-    config = build_train_config(args)
-    spec = build_augment_spec(args)
-    ks = [int(v) for v in args.ks.split(",") if v.strip()]
+    ds, test_ds, config, spec = _train_inputs(args)
+    configs = [dataclasses.replace(config, k=k) for k in _parse_ints(args.ks)]
     base = new_classifier(ds, config)
     pretrain(ds, base, config)
     lines = []
-    for k in ks:
-        cfg = dataclasses.replace(config, k=k)
+    for cfg in configs:
         params = base.clone()
         _, records = train_ss(ds, params, cfg, test_ds, spec)
-        best = max(records, key=lambda r: r.micro_f1) if records else None
-        line = {"k": k,
-                "best_micro_f1": best.micro_f1 if best else 0.0,
-                "best_macro_f1": best.macro_f1 if best else 0.0,
-                "final_micro_f1": records[-1].micro_f1 if records else 0.0}
+        best = max(records, key=lambda r: r.micro_f1, default=MetricsRecord(epoch=0))
+        final = records[-1] if records else best
+        line = {"k": cfg.k, "best_micro_f1": best.micro_f1,
+                "best_macro_f1": best.macro_f1, "final_micro_f1": final.micro_f1}
         lines.append(line)
         print(json.dumps(line))
     if args.out:

@@ -11,6 +11,10 @@ Both loops report each epoch as one ``MetricsRecord``, the schema of the
 metrics files: ``train_df_baseline`` and ``train_ss`` pass it to
 ``on_epoch``, and ``train_ss`` also returns the list of them. Train and test
 F1 in a record come from ``macro_micro_f1``.
+
+Both loops draw every mini-batch with a ``_Cycler``, without replacement: a
+batch larger than its pool runs on into a fresh permutation of it, so each
+aligned block of pool-size draws holds every instance once.
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ def update_tau(sigma: np.ndarray, tau0: float, tau_floor: float) -> np.ndarray:
 
 
 class _Cycler:
-    """Reshuffled cycling over a fixed index set."""
+    """Reshuffled cycling over a fixed index set: the one batch sampler."""
 
     def __init__(self, indices: np.ndarray, rng: np.random.Generator):
         self.indices = np.asarray(indices)
@@ -173,8 +177,9 @@ class _Cycler:
         self.pos = 0
 
     def take(self, batch: int) -> np.ndarray:
-        out: list[np.ndarray] = []
-        need = batch
+        """The next ``batch`` indices; empty for an empty pool or a batch of 0."""
+        out = [np.zeros(0, dtype=np.int64)]
+        need = batch if len(self.indices) else 0
         while need > 0:
             if self.pos >= len(self.order):
                 self.order = self.rng.permutation(self.indices)
@@ -184,16 +189,6 @@ class _Cycler:
             self.pos += grab
             need -= grab
         return np.concatenate(out)
-
-
-def _draw_batch(indices: np.ndarray, batch: int, cycler: _Cycler | None,
-                rng: np.random.Generator) -> np.ndarray:
-    if indices.size == 0 or batch == 0:
-        return np.zeros(0, dtype=np.int64)
-    if indices.size < batch:
-        return rng.choice(indices, size=batch, replace=True)
-    assert cycler is not None
-    return cycler.take(batch)
 
 
 def _log_softmax(params: ClassifierParams, x: np.ndarray):
@@ -217,7 +212,10 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
     """Minimize the candidate-averaged negative log over uniformly reshuffled
     mini-batches, no augmentation, passing each epoch's MetricsRecord to
     ``on_epoch``. Pre-training and the ablation reference for the full
-    objective."""
+    objective. Steps over no instance or batches of 0 raise ValueError."""
+    if epochs > 0 and config.inner_iters and min(ds.n, config.batch_unlabeled) < 1:
+        raise ValueError(f"nothing to train on: n = {ds.n} instances, "
+                         f"batch_unlabeled = {config.batch_unlabeled}")
     x = ds.flat_features().astype(np.float64)
     rng = derive_rng(config.seed, _TAG_PRETRAIN)
     opt = SgdOptimizer(params.parameters(), config)
@@ -268,8 +266,10 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
              on_epoch=None) -> tuple[ClassifierParams, list[MetricsRecord]]:
     """Semi-supervised stage over the pseudo-split, refreshed every epoch.
 
-    Per inner iteration: draw a labeled and an unlabeled mini-batch, snapshot
-    the parameters, generate weak/strong variants, fold the labeled batch's
+    Per inner iteration: draw a labeled and an unlabeled mini-batch (a pool
+    thinner than its batch is drawn whole, then from a fresh shuffle; an
+    empty pool gives an empty batch, whose terms are 0), snapshot the
+    parameters, generate weak/strong variants, fold the labeled batch's
     un-augmented features into the per-class covariance stats, evaluate the
     combined objective at the current (gamma, lam, tau), and take an SGD step.
     Confident counts accumulate over the epoch and set the next epoch's
@@ -279,13 +279,11 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
     spec = spec or AugmentSpec()
     n_epochs = config.ss_epochs
     records: list[MetricsRecord] = []
-    if n_epochs == 0:
-        return params, records
-    l = ds.l
     x_flat = ds.flat_features().astype(np.float64)
     x_raw = ds.features.astype(np.float64)
-    stats = ClassCovStats(l, params.feature_dim)
-    sigma = np.zeros(l, dtype=np.int64)   # confident counts of the last epoch
+    width = x_flat.shape[1]
+    stats = ClassCovStats(ds.l, params.feature_dim)
+    sigma = np.zeros(ds.l, dtype=np.int64)   # confident counts of the last epoch
     opt = SgdOptimizer(params.parameters(), config)  # fresh momentum
     batch_rng = derive_rng(config.seed, _TAG_BATCH)
 
@@ -294,32 +292,25 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
         gamma = schedule_gamma(t, n_epochs, config.gamma0)
         lam = schedule_lambda(t, n_epochs, config.lambda0)
         tau = update_tau(sigma, config.tau0, config.tau_floor)
-        sigma = np.zeros(l, dtype=np.int64)
+        sigma = np.zeros(ds.l, dtype=np.int64)
 
         split = build_pseudo_split(ds, snapshot_frozen(params), config.k)
         split.check(ds, config.k)
-        lab_cycler = (_Cycler(split.labeled_idx, batch_rng)
-                      if split.n_labeled >= config.batch_labeled else None)
-        unl_cycler = (_Cycler(split.unlabeled_idx, batch_rng)
-                      if split.n_unlabeled >= config.batch_unlabeled else None)
+        lab_cycler = _Cycler(split.labeled_idx, batch_rng)
+        unl_cycler = _Cycler(split.unlabeled_idx, batch_rng)
         lab_y = np.zeros(ds.n, dtype=np.int64)
         lab_y[split.labeled_idx] = split.labeled_y
 
         sums = dict.fromkeys(_SUMMED, 0)
         for c in range(config.inner_iters):
-            lab = _draw_batch(split.labeled_idx, config.batch_labeled,
-                              lab_cycler, batch_rng)
-            unl = _draw_batch(split.unlabeled_idx, config.batch_unlabeled,
-                              unl_cycler, batch_rng)
+            lab = lab_cycler.take(config.batch_labeled)
+            unl = unl_cycler.take(config.batch_unlabeled)
             frozen = snapshot_frozen(params)
-            x_w = x_s = x_flat[unl]
-            if unl.size:
-                wk_rng = derive_rng(config.seed, _TAG_AUG_WEAK, t, c)
-                st_rng = derive_rng(config.seed, _TAG_AUG_STRONG, t, c)
-                x_w = augment.weak_batch(x_raw[unl], spec, wk_rng).reshape(unl.size, -1)
-                x_s = augment.strong_batch(x_raw[unl], spec, st_rng).reshape(unl.size, -1)
-            if lab.size:
-                update_cov_stats(stats, params.eval_features(x_flat[lab]), lab_y[lab])
+            wk_rng = derive_rng(config.seed, _TAG_AUG_WEAK, t, c)
+            st_rng = derive_rng(config.seed, _TAG_AUG_STRONG, t, c)
+            x_w = augment.weak_batch(x_raw[unl], spec, wk_rng).reshape(unl.size, width)
+            x_s = augment.strong_batch(x_raw[unl], spec, st_rng).reshape(unl.size, width)
+            update_cov_stats(stats, params.eval_features(x_flat[lab]), lab_y[lab])
 
             total, batch_report = semantic_batch_loss(
                 params, frozen, stats, x_flat[lab], lab_y[lab], x_flat[unl],

@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import signal
 import struct
 
 import numpy as np
@@ -13,7 +15,7 @@ from plsp.evalcli import (MetricsRecord, _mc_softmax_mean, beta_sup_errors,
                           build_augment_spec, build_train_config, check_lambda_zero,
                           cli_main, macro_micro_f1, parse_config_file)
 from plsp.model import ClassifierParams, init_classifier, save_checkpoint
-from plsp.pldata import PLDataset, read_dataset, write_dataset
+from plsp.pldata import PLDataset, generate_uss, read_dataset, write_dataset
 from plsp.tensorcore import Tensor, softmax
 from plsp.trainer import TrainConfig
 
@@ -510,6 +512,107 @@ def test_cli_non_finite_metric_exits_4_and_leaves_no_stream(tmp_path, monkeypatc
                  "--epochs", "2"]) == 4
     assert json.loads(capsys.readouterr().err)["code"] == 4
     assert metrics.read_text(encoding="utf-8") == "earlier run\n"
+
+
+# -- inputs rejected before training ---------------------------------------------
+
+@contextlib.contextmanager
+def _within(seconds: int):
+    """Fails the test when the block runs past ``seconds``, so a hang fails."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _exits_4_writing_nothing(tmp_path, capsys, argv) -> str:
+    """Runs ``argv`` (its outputs named out.* under ``tmp_path``), checks it
+    exits 4 with no stdout and no output file, and returns the error text."""
+    capsys.readouterr()
+    with _within(10):
+        assert _run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.glob("out.*")) == []
+    error = json.loads(captured.err)
+    assert error["code"] == 4
+    return error["error"]
+
+
+def _outputs(tmp_path, command: str) -> list[str]:
+    out, metrics = str(tmp_path / "out.bin"), str(tmp_path / "out.jsonl")
+    return {"pretrain": ["--out", out],
+            "train": ["--out", out, "--metrics", metrics],
+            "df-baseline": ["--out", out, "--metrics", metrics],
+            "sweep-k": ["--out", metrics, "--ks", "0,5"]}[command]
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train", "df-baseline", "sweep-k"])
+def test_training_on_an_empty_dataset_exits_4_promptly(tmp_path, capsys, command):
+    empty = tmp_path / "empty.plsp"
+    write_dataset(empty, PLDataset(np.zeros((0, 2), dtype=np.float32),
+                                   np.zeros((0, 3), dtype=bool), np.zeros(0, np.uint32)))
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        command, "--data", str(empty), *_outputs(tmp_path, command),
+        "--inner-iters", "1", "--hidden-dims", "4"])
+    assert "n = 0" in error
+
+
+def test_df_baseline_batch_of_zero_exits_4_but_unused_batch_is_fine(tmp_path, capsys):
+    data = tmp_path / "d.plsp"
+    assert _run(["generate", "--out", str(data), "--n", "30", "--classes", "3"]) == 0
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        "df-baseline", "--data", str(data), *_outputs(tmp_path, "df-baseline"),
+        "--epochs", "1", "--inner-iters", "1", "--batch-unlabeled", "0"])
+    assert "batch_unlabeled" in error
+    # no disambiguation-free step, so a batch of 0 only empties the
+    # semi-supervised unlabeled batches
+    assert _run(["train", "--data", str(data), *_outputs(tmp_path, "train"),
+                 "--pretrain-epochs", "0", "--batch-unlabeled", "0", "--ss-epochs", "1",
+                 "--inner-iters", "2", "--hidden-dims", "4"]) == 0
+
+
+def test_sweep_k_checks_every_k_before_training(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "d.plsp"
+    assert _run(["generate", "--out", str(data), "--n", "30", "--classes", "3"]) == 0
+    monkeypatch.setattr(evalcli, "new_classifier", _no_training)
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        "sweep-k", "--data", str(data), "--out", str(tmp_path / "out.jsonl"),
+        "--ks", "0,-5"])
+    assert "k must be >= 0" in error
+
+
+def _grid_dataset(path, n: int) -> None:
+    rng = np.random.default_rng(5)
+    truth = (np.arange(n) % 4).astype(np.uint32)
+    write_dataset(path, PLDataset(rng.standard_normal((n, 8, 8, 1)).astype(np.float32),
+                                  generate_uss(truth, 4, rng), truth))
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+@pytest.mark.parametrize("k", ["5", "200"])   # 200 leaves no unlabeled pool
+def test_cutout_larger_than_the_grid_exits_4_before_training(tmp_path, monkeypatch,
+                                                              capsys, command, k):
+    data = tmp_path / "grid.plsp"
+    _grid_dataset(data, 200)
+    monkeypatch.setattr(evalcli, "new_classifier", _no_training)
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        command, "--data", str(data), *_outputs(tmp_path, command), "--k", k,
+        "--cutout-size", "99"])
+    assert "cutout_size exceeds grid" in error
+
+
+def test_flat_data_ignore_the_cutout(tmp_path):
+    data = tmp_path / "d.plsp"
+    assert _run(["generate", "--out", str(data), "--n", "30", "--classes", "3"]) == 0
+    assert _run(["train", "--data", str(data), *_outputs(tmp_path, "train"),
+                 "--cutout-size", "99", "--pretrain-epochs", "1", "--ss-epochs", "1",
+                 "--inner-iters", "1", "--k", "3", "--hidden-dims", "4"]) == 0
 
 
 # -- corrupt checkpoints ---------------------------------------------------------

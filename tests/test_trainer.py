@@ -1,16 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from plsp import augment
+from plsp import augment, trainer
 from plsp.model import snapshot_frozen
 from plsp.objective import (build_pseudo_split, loss_complementary_semantic,
                             loss_df, weak_cav_pseudo_labels)
 from plsp.pldata import PLDataset, generate_fps, generate_uss, make_blobs
 from plsp.tensorcore import SgdOptimizer, gradients
-from plsp.trainer import (MetricsRecord, TrainConfig, _Cycler, _draw_batch,
-                          _log_softmax, new_classifier, pretrain, schedule_gamma,
+from plsp.trainer import (MetricsRecord, TrainConfig, _Cycler, _log_softmax,
+                          new_classifier, pretrain, schedule_gamma,
                           schedule_lambda, train_df_baseline, train_ss,
                           update_tau)
 
@@ -168,14 +169,11 @@ def test_train_ss_gamma_lambda_zero_equals_complementary_only():
     opt = SgdOptimizer(params_b.parameters(), config)
     batch_rng = augment.derive_rng(config.seed, _TAG_BATCH)
     split = build_pseudo_split(ds, snapshot_frozen(params_b), config.k)
-    lab_cycler = (_Cycler(split.labeled_idx, batch_rng)
-                  if split.n_labeled >= config.batch_labeled else None)
-    unl_cycler = (_Cycler(split.unlabeled_idx, batch_rng)
-                  if split.n_unlabeled >= config.batch_unlabeled else None)
+    lab_cycler = _Cycler(split.labeled_idx, batch_rng)
+    unl_cycler = _Cycler(split.unlabeled_idx, batch_rng)
     for c in range(config.inner_iters):
-        _draw_batch(split.labeled_idx, config.batch_labeled, lab_cycler, batch_rng)
-        unl = _draw_batch(split.unlabeled_idx, config.batch_unlabeled,
-                          unl_cycler, batch_rng)
+        lab_cycler.take(config.batch_labeled)
+        unl = unl_cycler.take(config.batch_unlabeled)
         frozen = snapshot_frozen(params_b)
         wk_rng = augment.derive_rng(config.seed, _TAG_AUG_WEAK, 0, c)
         x_w = augment.weak_batch(ds.features[unl].astype(np.float64),
@@ -222,6 +220,87 @@ def test_train_ss_k_ge_n_runs_with_empty_unlabeled():
     _, records = train_ss(ds, params, config)
     assert all(r.n_unlabeled == 0 for r in records)
     assert all(r.reg_u == 0.0 and r.loss_cl == 0.0 for r in records)
+
+
+def _assert_blocks_are_permutations(draws, pool) -> None:
+    """Every aligned block of len(pool) draws holds each pool index once."""
+    pool = np.sort(np.asarray(pool))
+    for start in range(0, len(draws) - len(pool) + 1, len(pool)):
+        assert np.array_equal(np.sort(draws[start:start + len(pool)]), pool)
+
+
+@pytest.mark.parametrize("pool_size", [5, 8, 20])   # thinner, equal, larger
+def test_cycler_draws_thin_equal_and_larger_pools(pool_size):
+    pool = np.arange(100, 100 + pool_size)
+    cycler = _Cycler(pool, np.random.default_rng(0))
+    batches = [cycler.take(8) for _ in range(7)]
+    assert all(b.shape == (8,) and b.dtype == np.int64 for b in batches)
+    if pool_size >= 8:   # a batch within one pass repeats no index
+        assert all(len(set(b.tolist())) == 8 for b in batches)
+    _assert_blocks_are_permutations(np.concatenate(batches), pool)
+
+
+def test_cycler_empty_pool_and_zero_batch_draw_nothing():
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    empty = _Cycler(np.zeros(0, dtype=np.int64), rng)
+    for batch in (0, 1, 64):
+        out = empty.take(batch)
+        assert out.shape == (0,) and out.dtype == np.int64
+    assert rng.bit_generator.state == before
+    cycler = _Cycler(np.arange(6), rng)
+    before = rng.bit_generator.state
+    out = cycler.take(0)
+    assert out.shape == (0,) and out.dtype == np.int64
+    assert rng.bit_generator.state == before
+
+
+def test_cycler_mixed_takes_cover_the_pool_block_by_block():
+    pool = np.arange(7) * 3
+    cycler = _Cycler(pool, np.random.default_rng(2))
+    sizes = [3, 0, 7, 1, 12, 5, 2, 0, 9, 4, 6, 13]
+    draws = np.concatenate([cycler.take(size) for size in sizes])
+    assert len(draws) == sum(sizes)
+    _assert_blocks_are_permutations(draws, pool)
+
+
+def test_train_ss_draws_a_thin_pool_without_replacement(monkeypatch):
+    ds = _blob_pl_dataset(n=60, seed=4)
+    config = _tiny_config(k=18, ss_epochs=1, inner_iters=6, batch_unlabeled=32)
+    x_flat = ds.flat_features().astype(np.float64)
+    drawn = []
+    original = trainer.semantic_batch_loss
+
+    def recording(params, frozen, stats, x_lab, y_lab, x_unl, *rest):
+        # each row of the blobs is distinct, so a row names its instance
+        drawn.append(np.argmax((x_unl[:, None, :] == x_flat[None]).all(axis=2), axis=1))
+        return original(params, frozen, stats, x_lab, y_lab, x_unl, *rest)
+
+    monkeypatch.setattr(trainer, "semantic_batch_loss", recording)
+    params = new_classifier(ds, config)
+    _, (record,) = train_ss(ds, params, config)
+    assert 1 < record.n_unlabeled < config.batch_unlabeled
+    draws = np.concatenate(drawn)
+    assert len(draws) == config.inner_iters * config.batch_unlabeled
+    pool = np.unique(draws)
+    assert len(pool) == record.n_unlabeled
+    _assert_blocks_are_permutations(draws, pool)
+
+
+@pytest.mark.parametrize("k", [0, 40])   # no labeled pool; no unlabeled pool
+def test_train_ss_grid_data_with_an_empty_pool_runs_cleanly(k):
+    rng = np.random.default_rng(13)
+    truth = np.arange(40) % 4
+    ds = PLDataset(rng.standard_normal((40, 8, 8, 1)).astype(np.float32),
+                   generate_uss(truth, 4, rng), truth)
+    config = _tiny_config(k=k, ss_epochs=2)
+    params = new_classifier(ds, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, records = train_ss(ds, params, config, test_ds=ds)
+    expected = (0, 40) if k == 0 else (40, 0)
+    assert [(r.n_labeled, r.n_unlabeled) for r in records] == [expected] * 2
+    assert all(np.isfinite(r.loss_total) for r in records)
 
 
 def test_train_ss_tau_respects_bounds_every_epoch():
