@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -363,7 +362,7 @@ def _cmd_train(args) -> int:
     ds, test_ds, config, spec = _train_inputs(args)
     params = new_classifier(ds, config)
     pretrain(ds, params, config)
-    _, records = train_ss(ds, params, config, test_ds, spec)
+    records = train_ss(ds, params, config, test_ds, spec)
     best = _write_metrics(args.metrics, records)
     save_checkpoint(args.out, params)
     print(json.dumps({"checkpoint": str(args.out), "metrics": str(args.metrics),
@@ -376,8 +375,7 @@ def _cmd_df_baseline(args) -> int:
     epochs = args.epochs if args.epochs is not None \
         else config.pretrain_epochs + config.ss_epochs
     params = new_classifier(ds, config)
-    records: list[MetricsRecord] = []
-    train_df_baseline(ds, params, config, epochs, test_ds, records.append)
+    records = train_df_baseline(ds, params, config, epochs, test_ds)
     best = _write_metrics(args.metrics, records)
     if args.out:
         save_checkpoint(args.out, params)
@@ -412,12 +410,14 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep_k(args) -> int:
     ds, test_ds, config, spec = _train_inputs(args)
     configs = [dataclasses.replace(config, k=k) for k in _parse_ints(args.ks)]
+    if not configs:
+        raise ValueError("--ks names no k")
     base = new_classifier(ds, config)
     pretrain(ds, base, config)
     lines = []
     for cfg in configs:
         params = base.clone()
-        _, records = train_ss(ds, params, cfg, test_ds, spec)
+        records = train_ss(ds, params, cfg, test_ds, spec)
         best = max(records, key=lambda r: r.micro_f1, default=MetricsRecord(epoch=0))
         final = records[-1] if records else best
         line = {"k": cfg.k, "best_micro_f1": best.micro_f1,
@@ -519,17 +519,6 @@ def _error_line(exc: Exception, code: int) -> None:
     print(json.dumps({"error": str(exc), "code": code}), file=sys.stderr)
 
 
-def worker_cap() -> int:
-    """Validates PLSP_THREADS (an integer >= 1) and returns 1: the program
-    starts no workers of its own. BLAS threading follows the BLAS library's
-    own variables, such as OPENBLAS_NUM_THREADS."""
-    raw = os.environ.get("PLSP_THREADS")
-    if raw is not None:
-        if int(raw) < 1:
-            raise ValueError("PLSP_THREADS must be >= 1")
-    return 1
-
-
 def cli_main(argv: list[str]) -> int:
     parser = _build_parser()
     try:
@@ -537,7 +526,6 @@ def cli_main(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        worker_cap()
         return args.handler(args)
     except (pldata.DatasetFormatError, OSError) as exc:
         _error_line(exc, 3)

@@ -414,7 +414,6 @@ class McRegEstimate:
     strong_ce: float           # MC strong-branch cross entropy under the
     strong_ce_se: float        # closed-form pseudo target
     h_rate: float
-    invalid_draws: int = 0
 
 
 def mc_oracle_reg(params: ClassifierParams, frozen: FrozenClassifier,
@@ -481,8 +480,5 @@ def mc_oracle_reg(params: ClassifierParams, frozen: FrozenClassifier,
     strong_ce_se = float(ce_draws.std(ddof=1) / math.sqrt(n_samples)) \
         if n_samples > 1 else 0.0
 
-    return McRegEstimate(
-        value=float(value), se=float(se),
-        strong_ce=strong_ce, strong_ce_se=strong_ce_se,
-        h_rate=float(h.mean()), invalid_draws=int(np.sum(~valid)),
-    )
+    return McRegEstimate(value=float(value), se=float(se), strong_ce=strong_ce,
+                         strong_ce_se=strong_ce_se, h_rate=float(h.mean()))

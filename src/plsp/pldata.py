@@ -201,19 +201,17 @@ def stratified_split(ds: PLDataset, n_test: int,
 # masks u64[n*ceil(l/64)] | truth u32[n] if flagged
 
 def _pack_masks(candidates: np.ndarray) -> np.ndarray:
+    """Each row's mask as little-endian u64 words, label j at bit j % 64 of
+    word j // 64."""
     n, l = candidates.shape
-    words = np.zeros((n, (l + 63) // 64), dtype=np.uint64)
-    for j in range(l):
-        words[:, j // 64] |= candidates[:, j].astype(np.uint64) << np.uint64(j % 64)
-    return words
+    padded = np.zeros((n, (l + 63) // 64 * 64), dtype=bool)
+    padded[:, :l] = candidates
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 def _unpack_masks(words: np.ndarray, l: int) -> np.ndarray:
-    n = words.shape[0]
-    masks = np.zeros((n, l), dtype=bool)
-    for j in range(l):
-        masks[:, j] = (words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)
-    return masks
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :l].astype(bool)
 
 
 def write_dataset(path, ds: PLDataset) -> None:
@@ -227,7 +225,7 @@ def write_dataset(path, ds: PLDataset) -> None:
         for dim in dims:
             fh.write(struct.pack("<I", dim))
         fh.write(np.ascontiguousarray(ds.features, dtype="<f4").tobytes())
-        fh.write(_pack_masks(ds.candidates).astype("<u8").tobytes())
+        fh.write(_pack_masks(ds.candidates).tobytes())
         if ds.truth is not None:
             fh.write(np.ascontiguousarray(ds.truth, dtype="<u4").tobytes())
 

@@ -57,7 +57,7 @@ class ClassCovStats:
 
 
 def update_cov_stats(stats: ClassCovStats, features: np.ndarray,
-                     labels: np.ndarray) -> ClassCovStats:
+                     labels: np.ndarray) -> None:
     """Merge a batch of (feature, class) pairs into the running statistics.
 
     Uses the pairwise pooling rule for population moments: the merged
@@ -90,7 +90,6 @@ def update_cov_stats(stats: ClassCovStats, features: np.ndarray,
         stats.covs[j] = (merged + merged.T) / 2.0
         stats.means[j] = (m_old * stats.means[j] + m_new * mu_new) / total
         stats.counts[j] = total
-    return stats
 
 
 def sample_semantic(a: np.ndarray, cov: np.ndarray, lam: float,
@@ -162,12 +161,11 @@ def probit_weak_probs(head: np.ndarray, feats: np.ndarray, cov: np.ndarray,
 
 
 def shifted_softmax_probs(head: np.ndarray, feat: np.ndarray, cov: np.ndarray,
-                          lam: float, target: int | None = None):
+                          lam: float) -> np.ndarray:
     """Quadratic-shifted softmax: exp(z_j) / sum_j' exp(z_j' + lam/2 * Q[j',j]).
 
     The j' = j shift is zero, so each coordinate is <= its plain softmax
-    value. Returns the full vector, or (vector, vector[target]) when a target
-    class is given.
+    value.
     """
     head = np.asarray(head, dtype=np.float64)
     feat = np.asarray(feat, dtype=np.float64)
@@ -178,7 +176,4 @@ def shifted_softmax_probs(head: np.ndarray, feat: np.ndarray, cov: np.ndarray,
     shifted = z[:, None] + 0.5 * lam * quad       # rows j', columns j
     m = shifted.max(axis=0)
     log_den = m + np.log(np.exp(shifted - m).sum(axis=0))
-    probs = np.exp(z - log_den)
-    if target is None:
-        return probs
-    return probs, float(probs[target])
+    return np.exp(z - log_den)

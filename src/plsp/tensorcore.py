@@ -295,15 +295,14 @@ class SgdOptimizer:
         self.config = config
         self.velocity = [np.zeros_like(p.data) for p in params]
 
-    def step(self, grads: list[np.ndarray] | None = None) -> None:
+    def step(self) -> None:
+        """One update from each parameter's ``.grad``; a parameter with no
+        gradient moves by momentum and weight decay alone."""
         cfg = self.config
-        for i, p in enumerate(self.params):
-            g = grads[i] if grads is not None else p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
+        for p, v in zip(self.params, self.velocity):
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape}")
-            v = self.velocity[i]
             v *= cfg.momentum
             v += g + cfg.weight_decay * p.data
             p.data -= cfg.learning_rate * v

@@ -7,10 +7,9 @@ confidence thresholds follow curriculum pseudo-labeling (classes producing
 fewer confident predictions get lower thresholds), clamped to
 [tau_floor, tau0].
 
-Both loops report each epoch as one ``MetricsRecord``, the schema of the
-metrics files: ``train_df_baseline`` and ``train_ss`` pass it to
-``on_epoch``, and ``train_ss`` also returns the list of them. Train and test
-F1 in a record come from ``macro_micro_f1``.
+Each loop trains its ``params`` in place and returns one ``MetricsRecord``
+per epoch, the schema of the metrics files. Train and test F1 in a record
+come from ``macro_micro_f1``.
 
 Both loops draw every mini-batch with a ``_Cycler``, without replacement: a
 batch larger than its pool runs on into a fresh permutation of it, so each
@@ -199,26 +198,29 @@ def _log_softmax(params: ClassifierParams, x: np.ndarray):
     return z - z.logsumexp(axis=1, keepdims=True)
 
 
-def pretrain(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
-             epochs: int | None = None, on_epoch=None) -> ClassifierParams:
-    """Disambiguation-free stage: ``train_df_baseline`` with no test set."""
-    epochs = config.pretrain_epochs if epochs is None else epochs
-    return train_df_baseline(ds, params, config, epochs, None, on_epoch)
+def pretrain(ds: PLDataset, params: ClassifierParams,
+             config: TrainConfig) -> list[MetricsRecord]:
+    """Disambiguation-free stage: ``train_df_baseline`` for the config's
+    ``pretrain_epochs``, with no test set."""
+    return train_df_baseline(ds, params, config, config.pretrain_epochs)
 
 
 def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
-                      epochs: int, test_ds: PLDataset | None = None,
-                      on_epoch=None) -> ClassifierParams:
+                      epochs: int, test_ds: PLDataset | None = None
+                      ) -> list[MetricsRecord]:
     """Minimize the candidate-averaged negative log over uniformly reshuffled
-    mini-batches, no augmentation, passing each epoch's MetricsRecord to
-    ``on_epoch``. Pre-training and the ablation reference for the full
-    objective. Steps over no instance or batches of 0 raise ValueError."""
+    mini-batches, no augmentation, recording each epoch. Pre-training and the
+    ablation reference for the full objective. A negative epoch count, and
+    steps over no instance or batches of 0, raise ValueError."""
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
     if epochs > 0 and config.inner_iters and min(ds.n, config.batch_unlabeled) < 1:
         raise ValueError(f"nothing to train on: n = {ds.n} instances, "
                          f"batch_unlabeled = {config.batch_unlabeled}")
     x = ds.flat_features().astype(np.float64)
     rng = derive_rng(config.seed, _TAG_PRETRAIN)
     opt = SgdOptimizer(params.parameters(), config)
+    records: list[MetricsRecord] = []
     for t in range(epochs):
         start = time.perf_counter()
         cycler = _Cycler(np.arange(ds.n), rng)
@@ -232,12 +234,11 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
             opt.step()
             total += float(loss.data)
             clamped += batch_clamped
-        if on_epoch is not None:
-            mean_loss = total / max(config.inner_iters, 1)
-            on_epoch(_epoch_record(t, params, ds, test_ds, start, config,
-                                   loss_df=mean_loss, loss_total=mean_loss,
-                                   clamped=clamped))
-    return params
+        mean_loss = total / max(config.inner_iters, 1)
+        records.append(_epoch_record(t, params, ds, test_ds, start, config,
+                                     loss_df=mean_loss, loss_total=mean_loss,
+                                     clamped=clamped))
+    return records
 
 
 def _epoch_record(epoch: int, params: ClassifierParams, ds: PLDataset,
@@ -262,8 +263,8 @@ _SUMMED = ("loss_sup", "reg_u", "loss_cl", "total", "h_pass_rate", "clamped", "s
 
 
 def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
-             test_ds: PLDataset | None = None, spec: AugmentSpec | None = None,
-             on_epoch=None) -> tuple[ClassifierParams, list[MetricsRecord]]:
+             test_ds: PLDataset | None = None,
+             spec: AugmentSpec | None = None) -> list[MetricsRecord]:
     """Semi-supervised stage over the pseudo-split, refreshed every epoch.
 
     Per inner iteration: draw a labeled and an unlabeled mini-batch (a pool
@@ -273,15 +274,17 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
     un-augmented features into the per-class covariance stats, evaluate the
     combined objective at the current (gamma, lam, tau), and take an SGD step.
     Confident counts accumulate over the epoch and set the next epoch's
-    thresholds. Each epoch's MetricsRecord goes to ``on_epoch`` and into the
-    returned list.
+    thresholds. Returns one MetricsRecord per epoch. Steps over a dataset of
+    no instance raise ValueError.
     """
     spec = spec or AugmentSpec()
     n_epochs = config.ss_epochs
+    if n_epochs > 0 and config.inner_iters and ds.n < 1:
+        raise ValueError(f"nothing to train on: n = {ds.n} instances")
     records: list[MetricsRecord] = []
-    x_flat = ds.flat_features().astype(np.float64)
     x_raw = ds.features.astype(np.float64)
-    width = x_flat.shape[1]
+    width = math.prod(ds.feature_shape)
+    x_flat = x_raw.reshape(ds.n, width)
     stats = ClassCovStats(ds.l, params.feature_dim)
     sigma = np.zeros(ds.l, dtype=np.int64)   # confident counts of the last epoch
     opt = SgdOptimizer(params.parameters(), config)  # fresh momentum
@@ -323,17 +326,14 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
                 sums[name] += getattr(batch_report, name)
 
         iters = max(config.inner_iters, 1)
-        record = _epoch_record(
+        records.append(_epoch_record(
             t, params, ds, test_ds, start, config,
             loss_sup=sums["loss_sup"] / iters, reg_u=sums["reg_u"] / iters,
             loss_cl=sums["loss_cl"] / iters, loss_total=sums["total"] / iters,
             h_pass_rate=sums["h_pass_rate"] / iters,
             clamped=sums["clamped"], skipped=sums["skipped"], tau=tau.tolist(),
-            n_labeled=split.n_labeled, n_unlabeled=split.n_unlabeled)
-        records.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
-    return params, records
+            n_labeled=split.n_labeled, n_unlabeled=split.n_unlabeled))
+    return records
 
 
 def new_classifier(ds: PLDataset, config: TrainConfig) -> ClassifierParams:

@@ -339,16 +339,6 @@ def test_nan_in_one_case_fails_the_check(monkeypatch, check, name, kwargs):
     assert "nan" in res.detail
 
 
-def test_worker_cap_env(monkeypatch):
-    from plsp.evalcli import worker_cap
-    assert worker_cap() == 1
-    monkeypatch.setenv("PLSP_THREADS", "4")
-    assert worker_cap() == 1  # sequential implementation, cap satisfied
-    monkeypatch.setenv("PLSP_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_cap()
-
-
 # -- CLI integration -----------------------------------------------------------
 
 def _run(args):
@@ -503,9 +493,9 @@ def test_cli_non_finite_metric_exits_4_and_leaves_no_stream(tmp_path, monkeypatc
     metrics = tmp_path / "m.jsonl"
     metrics.write_text("earlier run\n", encoding="utf-8")
 
-    def nan_loss_run(ds, params, config, epochs, test_ds, on_epoch):
-        on_epoch(MetricsRecord(epoch=0, loss_df=0.5, micro_f1=0.4))
-        on_epoch(MetricsRecord(epoch=1, loss_df=float("nan"), micro_f1=0.5))
+    def nan_loss_run(ds, params, config, epochs, test_ds):
+        return [MetricsRecord(epoch=0, loss_df=0.5, micro_f1=0.4),
+                MetricsRecord(epoch=1, loss_df=float("nan"), micro_f1=0.5)]
     monkeypatch.setattr(evalcli, "train_df_baseline", nan_loss_run)
     capsys.readouterr()
     assert _run(["df-baseline", "--data", str(data), "--metrics", str(metrics),
@@ -552,14 +542,19 @@ def _outputs(tmp_path, command: str) -> list[str]:
             "sweep-k": ["--out", metrics, "--ks", "0,5"]}[command]
 
 
-@pytest.mark.parametrize("command", ["pretrain", "train", "df-baseline", "sweep-k"])
+@pytest.mark.parametrize("command", ["pretrain", "train", "df-baseline", "sweep-k",
+                                     # no pre-training step: the semi-supervised
+                                     # stage must refuse the empty dataset itself
+                                     "train --pretrain-epochs 0",
+                                     "sweep-k --pretrain-epochs 0"])
 def test_training_on_an_empty_dataset_exits_4_promptly(tmp_path, capsys, command):
     empty = tmp_path / "empty.plsp"
     write_dataset(empty, PLDataset(np.zeros((0, 2), dtype=np.float32),
                                    np.zeros((0, 3), dtype=bool), np.zeros(0, np.uint32)))
+    name, *settings = command.split()
     error = _exits_4_writing_nothing(tmp_path, capsys, [
-        command, "--data", str(empty), *_outputs(tmp_path, command),
-        "--inner-iters", "1", "--hidden-dims", "4"])
+        name, "--data", str(empty), *_outputs(tmp_path, name),
+        "--inner-iters", "1", "--hidden-dims", "4", *settings])
     assert "n = 0" in error
 
 
@@ -570,6 +565,10 @@ def test_df_baseline_batch_of_zero_exits_4_but_unused_batch_is_fine(tmp_path, ca
         "df-baseline", "--data", str(data), *_outputs(tmp_path, "df-baseline"),
         "--epochs", "1", "--inner-iters", "1", "--batch-unlabeled", "0"])
     assert "batch_unlabeled" in error
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        "df-baseline", "--data", str(data), *_outputs(tmp_path, "df-baseline"),
+        "--epochs", "-1", "--inner-iters", "1"])
+    assert "epochs must be >= 0" in error
     # no disambiguation-free step, so a batch of 0 only empties the
     # semi-supervised unlabeled batches
     assert _run(["train", "--data", str(data), *_outputs(tmp_path, "train"),
@@ -585,6 +584,10 @@ def test_sweep_k_checks_every_k_before_training(tmp_path, monkeypatch, capsys):
         "sweep-k", "--data", str(data), "--out", str(tmp_path / "out.jsonl"),
         "--ks", "0,-5"])
     assert "k must be >= 0" in error
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        "sweep-k", "--data", str(data), "--out", str(tmp_path / "out.jsonl"),
+        "--ks", ","])
+    assert "names no k" in error
 
 
 def _grid_dataset(path, n: int) -> None:

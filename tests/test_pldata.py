@@ -308,6 +308,24 @@ def test_stray_bit_in_last_mask_word_rejected(tmp_path):
             read_dataset(p)
 
 
+@pytest.mark.parametrize("l,rows,words", [
+    (3, [[0, 2], [1]], [5, 2]),
+    (65, [[63, 64], [0, 1, 64]], [1 << 63, 1, 3, 1]),
+])
+def test_mask_words_hold_label_j_at_bit_j_mod_64_of_word_j_div_64(tmp_path, l, rows,
+                                                                  words):
+    cands = np.zeros((len(rows), l), dtype=bool)
+    for i, labels in enumerate(rows):
+        cands[i, labels] = True
+    truth = np.array([labels[0] for labels in rows], dtype=np.uint32)
+    p = tmp_path / "w.plsp"
+    write_dataset(p, PLDataset(np.zeros((len(rows), 2), np.float32), cands, truth))
+    start = _mask_word_offset(n=len(rows))
+    raw = p.read_bytes()[start:start + 8 * len(words)]
+    assert np.frombuffer(raw, dtype="<u8").tolist() == words
+    assert np.array_equal(read_dataset(p).candidates, cands)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     p = tmp_path / "x.plsp"
     write_dataset(p, _tiny_dataset())

@@ -221,9 +221,9 @@ def test_shifted_softmax_lambda_zero_is_softmax():
 def test_shifted_softmax_hand_case():
     head = np.array([[1.0, 0.0], [0.0, 0.0]])
     a = np.array([1.0, 0.0])
-    probs, p0 = shifted_softmax_probs(head, a, np.eye(2), 2.0, target=0)
-    assert abs(p0 - 0.5) < 1e-12
+    probs = shifted_softmax_probs(head, a, np.eye(2), 2.0)
     assert probs.shape == (2,)
+    assert abs(probs[0] - 0.5) < 1e-12
 
 
 def test_shifted_softmax_jensen_direction():

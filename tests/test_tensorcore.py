@@ -131,14 +131,16 @@ def test_softmax_rows_sum_to_one():
 def test_sgd_basic_step():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = SgdOptimizer([p], sgd_config(0.1))
-    opt.step([np.array([2.0])])
+    p.grad = np.array([2.0])
+    opt.step()
     assert np.isclose(p.data[0], 0.8)
 
 
 def test_sgd_zero_grad_no_decay_is_identity():
     p = Tensor(np.array([3.0, -1.0]), requires_grad=True)
     opt = SgdOptimizer([p], sgd_config(0.5))
-    opt.step([np.zeros(2)])
+    p.grad = np.zeros(2)
+    opt.step()
     assert np.allclose(p.data, [3.0, -1.0])
 
 
@@ -146,7 +148,8 @@ def test_sgd_zero_lr_is_identity():
     p = Tensor(np.array([3.0, -1.0]), requires_grad=True)
     opt = SgdOptimizer([p], sgd_config(0.0, momentum=0.9,
                                        weight_decay=0.1))
-    opt.step([np.array([5.0, 5.0])])
+    p.grad = np.array([5.0, 5.0])
+    opt.step()
     assert np.allclose(p.data, [3.0, -1.0])
 
 
@@ -161,16 +164,19 @@ def test_sgd_momentum_matches_hand_unrolled():
 
     p = Tensor(np.array([p0]), requires_grad=True)
     opt = SgdOptimizer([p], sgd_config(lr, mu, wd))
-    opt.step([np.array([g1])])
+    p.grad = np.array([g1])
+    opt.step()
     assert np.isclose(p.data[0], p1)
-    opt.step([np.array([g2])])
+    p.grad = np.array([g2])
+    opt.step()
     assert np.isclose(p.data[0], p2)
 
 
 def test_sgd_step_function_shape_mismatch():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    p.grad = np.zeros(3)
     with pytest.raises(ValueError):
-        SgdOptimizer([p], sgd_config(0.1)).step([np.zeros(3)])
+        SgdOptimizer([p], sgd_config(0.1)).step()
 
 
 def test_sgd_config_validation():

@@ -107,7 +107,7 @@ def test_pretrain_zero_epochs_is_identity():
     config = _tiny_config(pretrain_epochs=0)
     params = new_classifier(ds, config)
     before = [p.data.copy() for p in params.parameters()]
-    pretrain(ds, params, config)
+    assert pretrain(ds, params, config) == []
     for p, b in zip(params.parameters(), before):
         assert np.array_equal(p.data, b)
 
@@ -121,9 +121,11 @@ def test_pretrain_supervised_reduction_reaches_high_accuracy():
     config = _tiny_config(pretrain_epochs=10, inner_iters=20,
                           batch_unlabeled=64, learning_rate=0.1, seed=5)
     params = new_classifier(ds, config)
-    pretrain(ds, params, config)
+    records = pretrain(ds, params, config)
     acc = (params.predict(ds.flat_features()) == ds.truth).mean()
     assert acc >= 0.99
+    assert [r.epoch for r in records] == list(range(10))
+    assert records[-1].train_micro_f1 >= 0.99
 
 
 def test_full_batch_descent_is_nonincreasing():
@@ -149,9 +151,8 @@ def test_train_ss_zero_epochs_is_identity():
     config = _tiny_config(ss_epochs=0)
     params = new_classifier(ds, config)
     before = [p.data.copy() for p in params.parameters()]
-    out, records = train_ss(ds, params, config)
-    assert records == []
-    for p, b in zip(out.parameters(), before):
+    assert train_ss(ds, params, config) == []
+    for p, b in zip(params.parameters(), before):
         assert np.array_equal(p.data, b)
 
 
@@ -198,7 +199,7 @@ def test_train_ss_deterministic_records():
         config = _tiny_config(seed=11, deterministic=True)
         params = new_classifier(ds, config)
         pretrain(ds, params, config)
-        _, records = train_ss(ds, params, config, test_ds=ds)
+        records = train_ss(ds, params, config, test_ds=ds)
         outs.append([rec.to_json_line() for rec in records])
     assert outs[0] == outs[1]
 
@@ -207,7 +208,7 @@ def test_train_ss_k_zero_runs_without_supervised_term():
     ds = _blob_pl_dataset(n=60, seed=7)
     config = _tiny_config(k=0, ss_epochs=2)
     params = new_classifier(ds, config)
-    _, records = train_ss(ds, params, config)
+    records = train_ss(ds, params, config)
     assert all(r.loss_sup == 0.0 for r in records)
     assert all(r.n_labeled == 0 for r in records)
     assert all(np.isfinite(r.loss_total) for r in records)
@@ -217,7 +218,7 @@ def test_train_ss_k_ge_n_runs_with_empty_unlabeled():
     ds = _blob_pl_dataset(n=40, seed=8)
     config = _tiny_config(k=40, ss_epochs=2, batch_labeled=8)
     params = new_classifier(ds, config)
-    _, records = train_ss(ds, params, config)
+    records = train_ss(ds, params, config)
     assert all(r.n_unlabeled == 0 for r in records)
     assert all(r.reg_u == 0.0 and r.loss_cl == 0.0 for r in records)
 
@@ -278,7 +279,7 @@ def test_train_ss_draws_a_thin_pool_without_replacement(monkeypatch):
 
     monkeypatch.setattr(trainer, "semantic_batch_loss", recording)
     params = new_classifier(ds, config)
-    _, (record,) = train_ss(ds, params, config)
+    (record,) = train_ss(ds, params, config)
     assert 1 < record.n_unlabeled < config.batch_unlabeled
     draws = np.concatenate(drawn)
     assert len(draws) == config.inner_iters * config.batch_unlabeled
@@ -297,7 +298,7 @@ def test_train_ss_grid_data_with_an_empty_pool_runs_cleanly(k):
     params = new_classifier(ds, config)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _, records = train_ss(ds, params, config, test_ds=ds)
+        records = train_ss(ds, params, config, test_ds=ds)
     expected = (0, 40) if k == 0 else (40, 0)
     assert [(r.n_labeled, r.n_unlabeled) for r in records] == [expected] * 2
     assert all(np.isfinite(r.loss_total) for r in records)
@@ -308,7 +309,7 @@ def test_train_ss_tau_respects_bounds_every_epoch():
     config = _tiny_config(ss_epochs=5)
     params = new_classifier(ds, config)
     pretrain(ds, params, config)
-    _, records = train_ss(ds, params, config)
+    records = train_ss(ds, params, config)
     for rec in records:
         tau = np.array(rec.tau)
         assert np.all(tau >= config.tau_floor - 1e-12)
@@ -319,7 +320,7 @@ def test_metrics_records_have_expected_keys():
     ds = _blob_pl_dataset(n=40, seed=10)
     config = _tiny_config(ss_epochs=1)
     params = new_classifier(ds, config)
-    _, records = train_ss(ds, params, config, test_ds=ds)
+    records = train_ss(ds, params, config, test_ds=ds)
     rec = records[0]
     line = rec.to_json_line()
     assert MetricsRecord.from_json_line(line) == rec
@@ -329,9 +330,8 @@ def test_records_carry_clamp_and_skip_counts():
     ds = _blob_pl_dataset(n=40, seed=10)
     config = _tiny_config(ss_epochs=2)
     params = new_classifier(ds, config)
-    df_records = []
-    train_df_baseline(ds, params, config, 2, ds, df_records.append)
-    _, ss_records = train_ss(ds, params, config, test_ds=ds)
+    df_records = train_df_baseline(ds, params, config, 2, ds)
+    ss_records = train_ss(ds, params, config, test_ds=ds)
     for rec in df_records + ss_records:
         assert type(rec.clamped) is int and rec.clamped >= 0
         assert type(rec.skipped) is int and rec.skipped >= 0
@@ -345,9 +345,8 @@ def test_saturated_model_reports_clamps():
     config = _tiny_config(ss_epochs=2, learning_rate=0.0, gamma0=1.0)
     params = new_classifier(ds, config)
     params.head.data *= 60.0
-    df_records = []
-    train_df_baseline(ds, params, config, 1, None, df_records.append)
-    _, ss_records = train_ss(ds, params, config)
+    df_records = train_df_baseline(ds, params, config, 1)
+    ss_records = train_ss(ds, params, config)
     assert df_records[0].clamped > 0
     assert all(rec.clamped > 0 for rec in ss_records)
 
@@ -356,8 +355,7 @@ def test_df_baseline_trains_and_reports():
     ds = _blob_pl_dataset(n=80, seed=11)
     config = _tiny_config()
     params = new_classifier(ds, config)
-    records = []
-    train_df_baseline(ds, params, config, 3, ds, records.append)
+    records = train_df_baseline(ds, params, config, 3, ds)
     assert len(records) == 3
     assert records[-1].loss_df > 0
     assert 0.0 <= records[-1].micro_f1 <= 1.0
