@@ -85,8 +85,15 @@ def _relu_stack(x: np.ndarray, layers) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     a = x.reshape(len(x), math.prod(x.shape[1:]))  # explicit width: 0 rows reshape too
     for w, b in layers:
-        a = np.maximum(a @ w + b, 0.0)
+        a = _affine_relu(a, w, b)
     return a
+
+
+def _affine_relu(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(a @ w + b) in one new array."""
+    z = a @ w
+    z += b
+    return np.maximum(z, 0.0, out=z)
 
 
 def extract_features(params: ClassifierParams, x: np.ndarray) -> Tensor:
@@ -97,8 +104,27 @@ def extract_features(params: ClassifierParams, x: np.ndarray) -> Tensor:
         raise ValueError(f"input dim {x.shape[1]} != expected {params.input_dim}")
     a = Tensor(x)
     for w, b in params.layers:
-        a = (a @ w + b).relu()
+        a = _dense_relu(a, w, b)
     return a
+
+
+def _dense_relu(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(a @ w + b) as one graph node; its backward masks the incoming
+    gradient once and gives the same arrays as the three-node chain."""
+    z = _affine_relu(a.data, w.data, b.data)
+    out = a._child(z, (a, w, b))
+
+    def backward(g):
+        g = g * (z > 0.0)
+        if w.requires_grad:
+            w._accumulate(a.data.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+        if a.requires_grad:
+            a._accumulate(g @ w.data.T)
+
+    out._backward = backward
+    return out
 
 
 class FrozenClassifier:

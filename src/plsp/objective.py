@@ -13,11 +13,13 @@ estimator around as an independent check.
 One step's three terms come from one graph (``semantic_batch_loss``): one
 forward over the stacked rows [labeled; unlabeled un-augmented; strong] and
 one shifted log-softmax in which each row selects its own class covariance
-(committed pseudo label, or weak-view semantic label). That log-softmax is
-one graph node with a closed-form backward; its l shift matrices come from
-``semstats.pairwise_quadratic``, so the graph has the same few dozen nodes
-for any class count. The per-term functions run the same kernel with the
-other row blocks empty. The frozen weak branch is one numpy forward per step.
+(committed pseudo label, or weak-view semantic label). Everything after the
+forward, the log-softmax, the clamps and the three weighted sums, is one
+scalar graph node with a hand-written backward; its l shift matrices come
+from ``semstats.pairwise_quadratic``. With one node per hidden layer, a step
+with two hidden layers has 9 nodes (with the parameters and the input) for
+any class count. The per-term functions run the same kernel with the other
+row blocks empty. The frozen weak branch is one numpy forward per step.
 
 Gradient flow: everything computed from a frozen snapshot (weak-branch
 probabilities, pseudo labels, pseudo targets) enters as plain numpy constants;
@@ -156,19 +158,19 @@ def pseudo_target(p_weak: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 
 # -- the semantic objective kernel --------------------------------------------
 
-def _shifted_log_softmax(head: Tensor, feats: Tensor, covs: np.ndarray,
-                         classes: np.ndarray, lam: float) -> Tensor:
+def _shifted_log_softmax_np(w: np.ndarray, a: np.ndarray, covs: np.ndarray,
+                            classes: np.ndarray, lam: float):
     """Row i: log of exp(z_j) / sum_j' exp(z_j' + lam/2 * Q_c[j', j]) with
     c = classes[i] picking the row's covariance from the (K, d_f, d_f) stack.
 
-    One graph node with a closed-form backward. The shifts come from
-    ``pairwise_quadratic``; each row's exp(z - m) sits in its class's block
-    of a (B, K*l) matrix, so one matmul against the stacked gains gives every
-    denominator and one transposed matmul gathers every class's shift
-    gradient. Row-max and per-block shift-max constants cancel exactly.
+    Returns the (B, l) log-probabilities and ``vjp(g)``, the closed-form
+    backward that maps a gradient on them to the gradients on ``a`` and
+    ``w``. The shifts come from ``pairwise_quadratic``; each row's
+    exp(z - m) sits in its class's block of a (B, K*l) matrix, so one matmul
+    against the stacked gains gives every denominator and one transposed
+    matmul gathers every class's shift gradient. Row-max and per-block shift-max constants cancel exactly.
     """
-    l, n_cov, batch = head.shape[0], covs.shape[0], feats.shape[0]
-    w, a = head.data, feats.data
+    l, n_cov, batch = w.shape[0], covs.shape[0], a.shape[0]
     gain = 0.5 * lam * pairwise_quadratic(w, covs)            # (K, l, l)
     kappa = gain.reshape(n_cov, l * l).max(axis=1)
     gain = np.exp(gain - kappa[:, None, None]).reshape(n_cov * l, l)
@@ -180,21 +182,32 @@ def _shifted_log_softmax(head: Tensor, feats: Tensor, covs: np.ndarray,
     picked[rows, classes] = expz
     picked = picked.reshape(batch, n_cov * l)
     den = picked @ gain
-    out = feats._child(z - (np.log(den) + (m + kappa[classes][:, None])),
-                       (feats, head))
+    log_p = z - (np.log(den) + (m + kappa[classes][:, None]))
 
-    def backward(g):
+    def vjp(g):
         r = g / den
         dz = g - expz * (r @ gain.T).reshape(batch, n_cov, l)[rows, classes]
+        # dQ_c = -lam/2 * gain_c * sum_{i in c} expz_i (x) r_i; with
+        # B_c = dQ_c + dQ_c^T, dL/dW += 2 sum_c (diag(B_c 1) - B_c) W cov_c
+        dq = (picked.T @ r * gain).reshape(n_cov, l, l) * (-0.5 * lam)
+        sym = dq + np.swapaxes(dq, 1, 2)
+        lap_w = sym.sum(axis=2)[:, :, None] * w - sym @ w
+        return dz @ w, dz.T @ a + 2.0 * (lap_w @ covs).sum(axis=0)
+
+    return log_p, vjp
+
+
+def _node(feats: Tensor, head: Tensor, value, vjp) -> Tensor:
+    """A graph node on (feats, head) whose backward maps its incoming
+    gradient through ``vjp``."""
+    out = feats._child(value, (feats, head))
+
+    def backward(g):
+        da, dw = vjp(g)
         if feats.requires_grad:
-            feats._accumulate(dz @ w)
+            feats._accumulate(da)
         if head.requires_grad:
-            # dQ_c = -lam/2 * gain_c * sum_{i in c} expz_i (x) r_i; with
-            # B_c = dQ_c + dQ_c^T, dL/dW += 2 sum_c (diag(B_c 1) - B_c) W cov_c
-            dq = (picked.T @ r * gain).reshape(n_cov, l, l) * (-0.5 * lam)
-            sym = dq + np.swapaxes(dq, 1, 2)
-            lap_w = sym.sum(axis=2)[:, :, None] * w - sym @ w
-            head._accumulate(dz.T @ a + 2.0 * (lap_w @ covs).sum(axis=0))
+            head._accumulate(dw)
 
     out._backward = backward
     return out
@@ -204,10 +217,12 @@ def shifted_log_probs(head: Tensor, feats: Tensor, cov: np.ndarray,
                       lam: float) -> Tensor:
     """log of exp(z_j) / sum_j' exp(z_j' + lam/2 * Q[j', j]) for a batch.
 
-    lam == 0 reduces to log-softmax (the shifts multiply out to zeros).
+    lam == 0 reduces to log-softmax (the shifts multiply out to zeros). One
+    graph node on (feats, head).
     """
-    return _shifted_log_softmax(head, feats, np.asarray(cov)[None],
-                                np.zeros(feats.shape[0], dtype=np.int64), lam)
+    return _node(feats, head, *_shifted_log_softmax_np(
+        head.data, feats.data, np.asarray(cov)[None],
+        np.zeros(feats.shape[0], dtype=np.int64), lam))
 
 
 def _objective_kernel(params: ClassifierParams, stats: ClassCovStats, lam: float,
@@ -222,27 +237,39 @@ def _objective_kernel(params: ClassifierParams, stats: ClassCovStats, lam: float
     feeds every term through constant (rows, l) weight masks that already
     carry each term's 1/batch: ``sup_w`` and ``reg_w`` weight the clamped
     log-probabilities, ``cl_w`` the clamped log(1 - p). ``reg_entropy`` is
-    the consistency term's constant entropy part. Returns the total, the
-    three term values and the clamp count.
+    the consistency term's constant entropy part. The total is one scalar
+    node on (feats, head) whose backward is written out: d total / d log p is
+    -gamma * (sup_w + reg_w) where log p > LOG_EPS plus cl_w * p / (1 - p)
+    where 1 - p > 1e-12, then the shifted log-softmax backward. Returns the
+    total, the three term values and the clamp count.
     """
     rows = [np.asarray(b, dtype=np.float64).reshape(len(b), -1)
             for b in blocks if len(b)]
     if not rows:
         return Tensor(0.0), (0.0, 0.0, 0.0), 0
     feats = extract_features(params, np.concatenate(rows))
-    log_ps = _shifted_log_softmax(params.head, feats, stats.covs, classes, lam)
-    safe = log_ps.maximum(LOG_EPS)
-    one_minus = 1.0 - log_ps.exp()
-    log_rest = one_minus.maximum(1e-12).log()
-    total = (safe * Tensor(-gamma * (sup_w + reg_w))
-             + log_rest * Tensor(-cl_w)).sum() + gamma * reg_entropy
+    log_ps, vjp = _shifted_log_softmax_np(params.head.data, feats.data,
+                                          stats.covs, classes, lam)
+    # np.maximum, not a mask: a NaN log-probability stays NaN in the total
+    safe = np.maximum(log_ps, LOG_EPS)
+    p = np.exp(log_ps)
+    one_minus = 1.0 - p
+    rest = np.maximum(one_minus, 1e-12)
+    log_rest = np.log(rest)
+    log_w = -gamma * (sup_w + reg_w)
+    total = float(np.sum(safe * log_w + log_rest * -cl_w)) + gamma * reg_entropy
+
+    def total_vjp(g):
+        return vjp(g * (log_w * (log_ps > LOG_EPS)
+                        + cl_w * (one_minus > 1e-12) * p / rest))
+
     # 0.0 - x keeps a term whose weights are all zero at +0.0, not -0.0
-    values = (0.0 - float(np.sum(safe.data * sup_w)),
-              reg_entropy - float(np.sum(safe.data * reg_w)),
-              0.0 - float(np.sum(log_rest.data * cl_w)))
-    clamped = int(np.sum((log_ps.data < LOG_EPS) & ((sup_w > 0) | (reg_w > 0)))
-                  + np.sum((one_minus.data < 1e-12) & (cl_w > 0)))
-    return total, values, clamped
+    values = (0.0 - float(np.sum(safe * sup_w)),
+              reg_entropy - float(np.sum(safe * reg_w)),
+              0.0 - float(np.sum(log_rest * cl_w)))
+    clamped = int(np.sum((log_ps < LOG_EPS) & ((sup_w > 0) | (reg_w > 0)))
+                  + np.sum((one_minus < 1e-12) & (cl_w > 0)))
+    return _node(feats, params.head, total, total_vjp), values, clamped
 
 
 def _weak_branch(frozen: FrozenClassifier, stats: ClassCovStats,

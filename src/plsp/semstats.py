@@ -60,10 +60,12 @@ def update_cov_stats(stats: ClassCovStats, features: np.ndarray,
                      labels: np.ndarray) -> None:
     """Merge a batch of (feature, class) pairs into the running statistics.
 
-    Uses the pairwise pooling rule for population moments: the merged
-    covariance is the count-weighted average of the two covariances plus a
-    rank-one correction from the mean gap. Classes absent from the batch are
-    untouched.
+    Each class present is merged in place about its old mean mu: with
+    d = x - mu over the class's new rows and s = sum(d) / total, the
+    covariance becomes (m_old * cov + d^T d) / total - s s^T and the mean
+    mu + s, the pooled population moments of old and new rows. Both
+    products are exactly symmetric, so the covariance stays so. Classes
+    absent from the batch are untouched.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -73,22 +75,19 @@ def update_cov_stats(stats: ClassCovStats, features: np.ndarray,
         raise ValueError("feature/label counts differ")
     if labels.size and labels.max() >= stats.n_classes:
         raise ValueError("class label out of range")
-    for j in np.unique(labels):
-        x = features[labels == j]
-        m_new = x.shape[0]
-        mu_new = x.mean(axis=0)
-        centered = x - mu_new
-        cov_new = centered.T @ centered / m_new
-        m_old = int(stats.counts[j])
-        total = m_old + m_new
-        if m_old == 0:
-            merged = cov_new
-        else:
-            delta = stats.means[j] - mu_new
-            merged = (m_old * stats.covs[j] + m_new * cov_new) / total \
-                + (m_old * m_new) * np.outer(delta, delta) / total ** 2
-        stats.covs[j] = (merged + merged.T) / 2.0
-        stats.means[j] = (m_old * stats.means[j] + m_new * mu_new) / total
+    order = np.argsort(labels, kind="stable")
+    classes, starts, sizes = np.unique(labels[order], return_index=True,
+                                       return_counts=True)
+    features = features[order]
+    for j, start, m_new in zip(classes, starts, sizes):
+        d = features[start:start + m_new] - stats.means[j]
+        total = int(stats.counts[j]) + int(m_new)
+        s = d.sum(axis=0) / total
+        cov = stats.covs[j]
+        cov *= stats.counts[j] / total
+        cov += d.T @ d / total
+        cov -= np.outer(s, s)
+        stats.means[j] += s
         stats.counts[j] = total
 
 
@@ -137,7 +136,10 @@ def probit_weak_probs(head: np.ndarray, feats: np.ndarray, cov: np.ndarray,
 
     Accepts a single feature vector or a (B, d_f) batch. The batch shares one
     (d_f, d_f) covariance, or, with ``classes``, row i takes ``cov[classes[i]]``
-    from a (K, d_f, d_f) stack. The raw map can leave the simplex when Phi
+    from a (K, d_f, d_f) stack. Row i's class j gets
+    1 / (2 - l + sum_{j' != j} 1 / Phi(beta (z_j - z_j') / s_jj')), each Phi
+    clipped to [1e-12, 1 - 1e-12]; one ``ndtr`` call per unordered pair gives
+    both Phi(x) and Phi(-x). The raw map can leave the simplex when Phi
     terms are tiny, so the result is clamped to >= 0 and renormalized to sum 1.
     """
     head = np.asarray(head, dtype=np.float64)
@@ -149,12 +151,21 @@ def probit_weak_probs(head: np.ndarray, feats: np.ndarray, cov: np.ndarray,
         raise ValueError("non-finite logits")
     z = feats @ head.T
     n_classes = head.shape[0]
-    quad = pairwise_quadratic(head, cov)
-    denom_scale = np.sqrt(np.maximum(1.0 + lam * beta * beta * quad, _PHI_CLAMP))
-    denom_scale = denom_scale[None] if classes is None else denom_scale[classes]
-    margins = z[:, :, None] - z[:, None, :]          # (B, j, j')
-    phi = np.clip(ndtr(beta * margins / denom_scale), _PHI_CLAMP, 1.0 - _PHI_CLAMP)
-    den = -n_classes + (1.0 / phi).sum(axis=2)
+    upper, lower = np.triu_indices(n_classes, 1)
+    quad = pairwise_quadratic(head, cov)[..., upper, lower]     # (P,) or (K, P)
+    scale = np.sqrt(np.maximum(1.0 + lam * beta * beta * quad, _PHI_CLAMP))
+    scale = scale if classes is None else scale[classes]
+    x = beta * (z[:, upper] - z[:, lower]) / scale             # (B, P)
+    # ndtr computes a positive argument x >= 1 as 1 - ndtr(-x), so one call per
+    # pair gives both directions (below 1 they agree to rounding)
+    tail = ndtr(-np.abs(x))
+    head_side = 1.0 - tail
+    positive = x > 0
+    phi_up = np.clip(np.where(positive, head_side, tail), _PHI_CLAMP, 1.0 - _PHI_CLAMP)
+    phi_low = np.clip(np.where(positive, tail, head_side), _PHI_CLAMP, 1.0 - _PHI_CLAMP)
+    pick = np.eye(n_classes)
+    # sum over j' != j of 1/Phi(beta (z_j - z_j') / s_jj'); the j' = j term is 2
+    den = (2.0 - n_classes) + (1.0 / phi_up) @ pick[upper] + (1.0 / phi_low) @ pick[lower]
     probs = np.clip(1.0 / den, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs[0] if single else probs

@@ -2,9 +2,11 @@
 
 The ops: matmul, add/sub/mul with rank<=2 broadcasting, exp, log,
 elementwise max against a constant, axis sums, transpose, reshape and a
-fused logsumexp whose backward is the softmax. The training losses add one
-node of their own (the shifted log-softmax in ``plsp.objective``); reshape
-serves only the per-class reference in the tests.
+fused logsumexp whose backward is the softmax. Training adds nodes of its
+own with hand-written backwards, built on ``Tensor._child``: one dense ReLU
+layer per node (``plsp.model``), and the shifted log-softmax and the whole
+semantic objective, each one node (``plsp.objective``). Reshape serves only
+the per-class reference in the tests.
 Matrix products go to numpy's BLAS, which may spread them over threads (see
 the README on OPENBLAS_NUM_THREADS); everything else runs in one thread.
 Backward closures hold their parents and constant arrays, never their own

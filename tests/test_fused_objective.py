@@ -240,6 +240,68 @@ def test_fused_step_raises_on_non_finite_snapshot():
         semantic_batch_loss(*args)
 
 
+# -- the objective node against its Tensor chain ----------------------------------
+
+def _ref_kernel(params, stats, lam, x, classes, sup_w, reg_w, cl_w,
+                reg_entropy, gamma):
+    """The objective tail as the chain of Tensor ops it was first written as,
+    after the shifted log-softmax node. Returns the total and the clamp
+    counts below LOG_EPS and of 1 - p below 1e-12."""
+    feats = extract_features(params, x)
+    log_ps = objective._node(feats, params.head, *objective._shifted_log_softmax_np(
+        params.head.data, feats.data, stats.covs, classes, lam))
+    safe = log_ps.maximum(LOG_EPS)
+    one_minus = 1.0 - log_ps.exp()
+    log_rest = one_minus.maximum(1e-12).log()
+    total = (safe * Tensor(-gamma * (sup_w + reg_w))
+             + log_rest * Tensor(-cl_w)).sum() + gamma * reg_entropy
+    low = int(np.sum((log_ps.data < LOG_EPS) & ((sup_w > 0) | (reg_w > 0))))
+    high = int(np.sum((one_minus.data < 1e-12) & (cl_w > 0)))
+    return total, low, high
+
+
+def _kernel_inputs(l, lam, head_scale, seed):
+    """Rows of every class, with every (row, class) weighted by all three
+    terms so that each clamp can engage."""
+    params, _, stats, *_ = _batch(l, 6, 9, seed=seed, head_scale=head_scale)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((12, 4))
+    classes = rng.integers(0, l, size=12)
+    sup_w, reg_w, cl_w = (rng.uniform(0.0, 0.2, size=(12, l)) for _ in range(3))
+    return params, stats, lam, x, classes, sup_w, reg_w, cl_w, 0.3, 0.7
+
+
+@pytest.mark.parametrize("l", [3, 10])
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+@pytest.mark.parametrize("head_scale", [1.0, 25.0])
+def test_objective_node_matches_tensor_chain(l, lam, head_scale):
+    args = _kernel_inputs(l, lam, head_scale, seed=400 + l)
+    params, stats, lam, x, classes, sup_w, reg_w, cl_w, entropy, gamma = args
+    ref, low, high = _ref_kernel(*args)
+    ref_grads = [g.copy() for g in gradients(ref, params.parameters())]
+    total, _, clamped = objective._objective_kernel(
+        params, stats, lam, [x], classes, sup_w, reg_w, cl_w, entropy, gamma)
+    grads = gradients(total, params.parameters())
+    assert _rel(float(total.data), float(ref.data)) <= 1e-12
+    for g, r in zip(grads, ref_grads):
+        assert _rel(g, r) <= 1e-12
+    assert clamped == low + high
+    if head_scale > 1.0:
+        # at lam = 0 no shift pulls the top class down, so both clamps engage
+        assert low > 0 and (lam > 0.0 or high > 0)
+
+
+def test_objective_node_propagates_nan():
+    params, stats, lam, x, *rest = _kernel_inputs(4, 0.05, 1.0, seed=404)
+    x[2, 0] = np.nan
+    total, values, _ = objective._objective_kernel(params, stats, lam, [x], *rest)
+    # every term weights the NaN row, so none may mask it to a clamp value
+    assert not np.isfinite(float(total.data))
+    assert not np.any(np.isfinite(values))
+    grads = gradients(total, params.parameters())
+    assert not all(np.all(np.isfinite(g)) for g in grads)
+
+
 # -- graph-size guard ---------------------------------------------------------------
 
 def _count_nodes(root):
@@ -285,4 +347,6 @@ def test_step_graph_is_small_and_independent_of_class_count(monkeypatch):
     four = _step_graph_sizes(monkeypatch, 4)
     ten = _step_graph_sizes(monkeypatch, 10)
     assert four == ten
-    assert max(four) <= 32
+    # the objective node, a node per hidden layer, their weights and biases,
+    # the head and the input
+    assert four == {1 + 2 + 4 + 1 + 1}

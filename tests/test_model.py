@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from plsp.model import (ClassifierParams, extract_features, init_classifier,
-                        load_checkpoint, save_checkpoint, snapshot_frozen)
+from plsp.model import (ClassifierParams, _dense_relu, extract_features,
+                        init_classifier, load_checkpoint, save_checkpoint,
+                        snapshot_frozen)
 from plsp.tensorcore import Tensor, gradients, softmax
 
 
@@ -59,6 +60,31 @@ def test_feature_gradient_matches_finite_differences():
             num[idx] = (value(plus) - value(minus)) / (2 * h)
         scale = max(np.abs(num).max(), 1e-8)
         assert np.abs(analytic[k] - num).max() / scale < 1e-4
+
+
+@pytest.mark.parametrize("input_grad", [False, True])
+def test_dense_relu_matches_three_node_chain(input_grad):
+    """The one-node layer against the chain it replaced, (a @ w + b).relu():
+    the same forward and the same gradients, bit for bit."""
+    rng = np.random.default_rng(12)
+    a0 = rng.standard_normal((7, 5))
+    a0[0, :] = 0.0  # a row that leaves some units exactly at zero
+    w0, b0 = rng.standard_normal((5, 4)), rng.standard_normal(4)
+    up = rng.standard_normal((7, 4))
+    outs = []
+    for layer in (lambda a, w, b: (a @ w + b).relu(), _dense_relu):
+        a, w, b = (Tensor(v.copy(), requires_grad=g)
+                   for v, g in ((a0, input_grad), (w0, True), (b0, True)))
+        out = layer(a, w, b)
+        (out * up).sum().backward()
+        outs.append([out.data, w.grad, b.grad, a.grad])
+    chain, fused = outs
+    for x, y in zip(chain[:3], fused[:3]):
+        assert np.array_equal(x, y)
+    if input_grad:
+        assert np.array_equal(chain[3], fused[3])
+    else:
+        assert chain[3] is None and fused[3] is None
 
 
 def test_zero_head_gives_uniform_probs():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from plsp.semstats import (BETA_RELATIVE, ClassCovStats, DEFAULT_BETA,
                            pairwise_quadratic, probit_weak_probs,
@@ -65,6 +66,51 @@ def test_any_partition_matches_pooled_moments():
         assert np.abs(stats.means[0] - mu_ref).max() < 1e-10
         assert np.abs(stats.covs[0] - cov_ref).max() < 1e-10
         assert np.abs(stats.covs[0] - stats.covs[0].T).max() < 1e-10
+
+
+def test_unsorted_labels_match_pooled_moments():
+    rng = np.random.default_rng(10)
+    n_classes, d = 5, 4
+    stats = ClassCovStats(n_classes, d)
+    seen_x, seen_y = [], []
+    for _ in range(12):
+        size = int(rng.integers(1, 40))
+        x = rng.standard_normal((size, d)) * rng.uniform(0.5, 3.0) + 2.0
+        y = rng.integers(0, n_classes, size=size)  # unsorted, with repeats
+        update_cov_stats(stats, x, y)
+        seen_x.append(x)
+        seen_y.append(y)
+    xs, ys = np.concatenate(seen_x), np.concatenate(seen_y)
+    for j in range(n_classes):
+        mu_ref, cov_ref = pooled_population_moments(xs[ys == j])
+        assert stats.counts[j] == np.sum(ys == j)
+        assert np.abs(stats.means[j] - mu_ref).max() < 1e-10
+        assert np.abs(stats.covs[j] - cov_ref).max() < 1e-10
+
+
+def test_absent_classes_stay_bitwise_untouched():
+    rng = np.random.default_rng(11)
+    stats = ClassCovStats(6, 3)
+    update_cov_stats(stats, rng.standard_normal((60, 3)), rng.integers(0, 6, size=60))
+    before = (stats.counts.copy(), stats.means.copy(), stats.covs.copy())
+    labels = rng.choice([4, 1], size=25)
+    update_cov_stats(stats, rng.standard_normal((25, 3)), labels)
+    absent = [0, 2, 3, 5]
+    assert np.array_equal(stats.counts[absent], before[0][absent])
+    assert np.array_equal(stats.means[absent], before[1][absent])
+    assert np.array_equal(stats.covs[absent], before[2][absent])
+    assert np.array_equal(stats.counts[[1, 4]] - before[0][[1, 4]],
+                          [np.sum(labels == 1), np.sum(labels == 4)])
+
+
+def test_covariances_stay_exactly_symmetric():
+    rng = np.random.default_rng(12)
+    stats = ClassCovStats(4, 16)
+    for _ in range(50):
+        x = np.abs(rng.standard_normal((64, 16))) * rng.uniform(0.5, 2.0)
+        update_cov_stats(stats, x, rng.integers(0, 4, size=64))
+    for j in range(4):
+        assert np.array_equal(stats.covs[j], stats.covs[j].T)
 
 
 def test_dimension_mismatch():
@@ -201,6 +247,43 @@ def test_probit_batch_matches_single():
     for i in range(5):
         single = probit_weak_probs(head, feats[i], covs[classes[i]], 0.03)
         assert np.abs(rows[i] - single).max() <= 1e-15
+
+
+def _full_probit(head, feats, cov, lam, beta=DEFAULT_BETA, classes=None):
+    """The probit map over every ordered class pair, a (B, l, l) array of Phi
+    values, as it was first written; returns the probabilities and the
+    number of Phi values the 1e-12 clip changed."""
+    z = feats @ head.T
+    scale = np.sqrt(np.maximum(1.0 + lam * beta * beta * pairwise_quadratic(head, cov),
+                               1e-12))
+    scale = scale[None] if classes is None else scale[classes]
+    raw = ndtr(beta * (z[:, :, None] - z[:, None, :]) / scale)
+    phi = np.clip(raw, 1e-12, 1.0 - 1e-12)
+    probs = np.clip(1.0 / (-head.shape[0] + (1.0 / phi).sum(axis=2)), 0.0, None)
+    return probs / probs.sum(axis=1, keepdims=True), int(np.sum(phi != raw))
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 10])
+@pytest.mark.parametrize("per_row", [False, True])
+def test_probit_pair_form_matches_full_form(l, per_row):
+    """One Phi per unordered pair gives the ordered-pair map to rounding
+    (largest difference over the largest value), also past the clip."""
+    rng = np.random.default_rng(20 + l)
+    d = 6
+    covs = np.stack([np.cov(rng.standard_normal((30, d)).T, bias=True)
+                     for _ in range(l)])
+    feats = rng.standard_normal((200, d))
+    classes = rng.integers(0, l, size=200) if per_row else None
+    cov = covs if per_row else covs[0]
+    clipped = 0
+    for head_scale in (0.3, 3.0, 30.0):
+        head = rng.standard_normal((l, d)) * head_scale
+        for lam in (0.0, 0.1):
+            ref, n_clip = _full_probit(head, feats, cov, lam, classes=classes)
+            got = probit_weak_probs(head, feats, cov, lam, classes=classes)
+            clipped += n_clip
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert clipped > 0
 
 
 def test_probit_rejects_non_finite():
