@@ -137,10 +137,7 @@ def check_lambda_zero(seed: int = 0, n_batches: int = 10,
             np.where(~masks, -np.log(np.maximum(1 - probs, 1e-12)), 0.0), axis=1)))
         worst = np.maximum(worst, abs(float(comp.data) - ref_comp))
 
-        # looked up at call time: the span tracer patches model.extract_features
-        from .model import extract_features
-        log_ps = shifted_log_probs(params.head, extract_features(params, x),
-                                   stats.cov(0), 0.0)
+        log_ps = shifted_log_probs(params, x, stats.cov(0), 0.0)
         worst = np.maximum(worst, float(np.abs(log_ps.data - logp_ref).max()))
     return CheckResult("lambda-zero-reduction", bool(worst <= tol),
                        f"max deviation {worst:.3e} (tol {tol:g})")
@@ -342,6 +339,11 @@ def _train_inputs(args):
     before any training; defaults stand in for the flags it lacks."""
     ds = pldata.read_dataset(args.data)
     test_ds = pldata.read_dataset(args.test) if getattr(args, "test", None) else None
+    if test_ds is not None and (test_ds.l != ds.l
+                                or test_ds.feature_shape != ds.feature_shape):
+        raise ValueError(f"test set has {test_ds.l} classes of shape "
+                         f"{test_ds.feature_shape}; training set has {ds.l} "
+                         f"classes of shape {ds.feature_shape}")
     config = build_train_config(args)
     spec = build_augment_spec(args)
     spec.cutout_side(ds.feature_shape)
@@ -388,7 +390,12 @@ def _cmd_eval(args) -> int:
     ds = pldata.read_dataset(args.data)
     if ds.truth is None:
         raise ValueError("dataset carries no truth labels to evaluate against")
-    preds = params.predict(ds.flat_features().astype(np.float64))
+    x = ds.flat_features().astype(np.float64)
+    if (params.input_dim, params.n_classes) != (x.shape[1], ds.l):
+        raise ValueError(
+            f"checkpoint takes {params.input_dim} input features and {params.n_classes} "
+            f"classes; dataset has {x.shape[1]} features and {ds.l} classes")
+    preds = params.predict(x)
     macro, micro = macro_micro_f1(preds, ds.truth, ds.l)
     record = MetricsRecord(epoch=0, macro_f1=macro, micro_f1=micro,
                            is_summary=True)

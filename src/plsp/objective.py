@@ -19,12 +19,12 @@ scalar graph node with a hand-written backward; its l shift matrices come
 from ``semstats.pairwise_quadratic``. With one node per hidden layer, a step
 with two hidden layers has 9 nodes (with the parameters and the input) for
 any class count. The per-term functions run the same kernel with the other
-row blocks empty. The frozen weak branch is one numpy forward per step.
+row blocks empty. The weak branch is one numpy forward of the live weights.
 
-Gradient flow: everything computed from a frozen snapshot (weak-branch
-probabilities, pseudo labels, pseudo targets) enters as plain numpy constants;
-only the strong-branch / un-augmented log-probabilities under the live
-parameters carry gradients.
+Gradient flow: the weak branch (probabilities, semantic labels, pseudo
+targets) and the pseudo split are numpy forwards of the live weights with no
+gradient, so they enter as plain constants; only the strong-branch /
+un-augmented log-probabilities carry gradients.
 """
 
 from __future__ import annotations
@@ -110,13 +110,13 @@ def weak_cav_pseudo_labels(frozen: FrozenClassifier, x_weak: np.ndarray,
     return masked_argmax(cav_scores(frozen.logits_of(x_weak)), candidates)
 
 
-def build_pseudo_split(ds: PLDataset, frozen: FrozenClassifier, k: int) -> PseudoSplit:
+def build_pseudo_split(ds: PLDataset, params: ClassifierParams, k: int) -> PseudoSplit:
     """Per class, commit the k highest-scoring instances among those whose
     candidate-restricted activation-value argmax picked that class; the rest
     stay unlabeled. Ties break toward the lower instance index."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    z = frozen.logits_of(ds.flat_features())
+    z = params.eval_logits(ds.flat_features())
     v = cav_scores(z)
     pseudo = masked_argmax(v, ds.candidates)
     chosen = np.zeros(ds.n, dtype=bool)
@@ -135,10 +135,13 @@ def build_pseudo_split(ds: PLDataset, frozen: FrozenClassifier, k: int) -> Pseud
     )
 
 
-def loss_df(log_probs: Tensor, candidates: np.ndarray) -> tuple[Tensor, int]:
-    """Mean over the batch of the candidate-averaged negative log:
-    (1/|C_i|) sum_{j in C_i} -log p_ij. Returns (loss, clamp count)."""
+def loss_df(params: ClassifierParams, x: np.ndarray,
+            candidates: np.ndarray) -> tuple[Tensor, int]:
+    """Mean over the rows ``x`` of the candidate-averaged negative log of the
+    model's softmax: (1/|C_i|) sum_{j in C_i} -log p_ij. Returns (loss, clamp count)."""
     candidates = np.asarray(candidates, dtype=bool)
+    z = extract_features(params, x) @ params.head.T
+    log_probs = z - z.logsumexp(axis=1, keepdims=True)
     weights = candidates / candidates.sum(axis=1, keepdims=True)
     clamped = int(np.sum((log_probs.data < LOG_EPS) & candidates))
     safe = log_probs.maximum(LOG_EPS)
@@ -213,15 +216,16 @@ def _node(feats: Tensor, head: Tensor, value, vjp) -> Tensor:
     return out
 
 
-def shifted_log_probs(head: Tensor, feats: Tensor, cov: np.ndarray,
+def shifted_log_probs(params: ClassifierParams, x: np.ndarray, cov: np.ndarray,
                       lam: float) -> Tensor:
-    """log of exp(z_j) / sum_j' exp(z_j' + lam/2 * Q[j', j]) for a batch.
+    """log of exp(z_j) / sum_j' exp(z_j' + lam/2 * Q[j', j]) for rows ``x``.
 
     lam == 0 reduces to log-softmax (the shifts multiply out to zeros). One
-    graph node on (feats, head).
+    graph node on (features, head).
     """
-    return _node(feats, head, *_shifted_log_softmax_np(
-        head.data, feats.data, np.asarray(cov)[None],
+    feats = extract_features(params, x)
+    return _node(feats, params.head, *_shifted_log_softmax_np(
+        params.head.data, feats.data, np.asarray(cov)[None],
         np.zeros(feats.shape[0], dtype=np.int64), lam))
 
 
@@ -272,28 +276,26 @@ def _objective_kernel(params: ClassifierParams, stats: ClassCovStats, lam: float
     return _node(feats, params.head, total, total_vjp), values, clamped
 
 
-def _weak_branch(frozen: FrozenClassifier, stats: ClassCovStats,
-                 x_weak: np.ndarray, candidates: np.ndarray, lam: float,
-                 tau: np.ndarray, beta: float,
-                 sem_labels: np.ndarray | None = None,
+def _weak_branch(feats: np.ndarray, head: np.ndarray, stats: ClassCovStats,
+                 candidates: np.ndarray, lam: float, tau: np.ndarray,
+                 beta: float, sem_labels: np.ndarray | None = None,
                  ) -> tuple[np.ndarray, np.ndarray, float, ConsistencyReport]:
-    """The frozen side of the consistency term, pure numpy.
+    """The weak side of the consistency term, pure numpy.
 
-    One forward under the snapshot gives the weak-view semantic labels (when
-    not supplied) and the probit expected softmax, each row at its own
-    class's covariance. Returns the semantic labels, the gated pseudo
+    From the weak rows' features and the head array: the weak-view semantic
+    labels (when not supplied) and the probit expected softmax, each row at
+    its own class's covariance. Returns the semantic labels, the gated pseudo
     targets, their summed entropy and the report (value and clamps unset).
     """
-    batch = len(x_weak)
-    n_classes = frozen.n_classes
+    batch = len(feats)
+    n_classes = head.shape[0]
     if batch == 0:
         return (np.zeros(0, dtype=np.int64), np.zeros((0, n_classes)), 0.0,
                 ConsistencyReport(0.0, np.zeros(n_classes, dtype=np.int64), 0.0))
     candidates = np.asarray(candidates, dtype=bool)
-    feats = frozen.features(x_weak)
     if sem_labels is None:
-        sem_labels = masked_argmax(cav_scores(feats @ frozen.head.T), candidates)
-    p_weak = probit_weak_probs(frozen.head, feats, stats.covs, lam, beta,
+        sem_labels = masked_argmax(cav_scores(feats @ head.T), candidates)
+    p_weak = probit_weak_probs(head, feats, stats.covs, lam, beta,
                                classes=sem_labels)
 
     tau = np.asarray(tau, dtype=np.float64)
@@ -318,8 +320,8 @@ def _weak_branch(frozen: FrozenClassifier, stats: ClassCovStats,
     return sem_labels, weights, entropy, report
 
 
-def semantic_batch_loss(params: ClassifierParams, frozen: FrozenClassifier,
-                        stats: ClassCovStats, x_lab: np.ndarray, y_lab: np.ndarray,
+def semantic_batch_loss(params: ClassifierParams, stats: ClassCovStats,
+                        x_lab: np.ndarray, y_lab: np.ndarray,
                         x_unl: np.ndarray, x_weak: np.ndarray, x_strong: np.ndarray,
                         candidates: np.ndarray, lam: float, tau: np.ndarray,
                         gamma: float, beta: float = DEFAULT_BETA,
@@ -330,8 +332,9 @@ def semantic_batch_loss(params: ClassifierParams, frozen: FrozenClassifier,
     graph forward. Covariances: the committed pseudo label for labeled rows,
     the weak-view semantic label for the other two blocks. ``candidates``
     belong to the unlabeled rows, which ``x_unl``, ``x_weak`` and
-    ``x_strong`` hold in the same order. Values equal ``assemble_batch`` over
-    the three per-term functions.
+    ``x_strong`` hold in the same order. The weak branch is a numpy forward
+    of the live weights. Values equal ``assemble_batch`` over the three
+    per-term functions given a frozen copy of ``params``.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -339,7 +342,8 @@ def semantic_batch_loss(params: ClassifierParams, frozen: FrozenClassifier,
     y_lab = np.asarray(y_lab, dtype=np.int64)
     n_lab, n_unl = len(y_lab), len(x_unl)
     sem, weights, entropy, consistency = _weak_branch(
-        frozen, stats, x_weak, candidates, lam, tau, beta)
+        params.eval_features(x_weak), params.head.data, stats, candidates,
+        lam, tau, beta)
     l = params.n_classes
     sup_w, reg_w, cl_w = (np.zeros((n_lab + 2 * n_unl, l)) for _ in range(3))
     sup_w[np.arange(n_lab), y_lab] = 1.0 / max(n_lab, 1)
@@ -385,7 +389,8 @@ def reg_consistency_semantic(params: ClassifierParams, frozen: FrozenClassifier,
     """
     batch = len(x_strong)
     sem, weights, entropy, report = _weak_branch(
-        frozen, stats, x_weak, candidates, lam, tau, beta, sem_labels)
+        frozen.features(x_weak), frozen.head, stats, candidates, lam, tau,
+        beta, sem_labels)
     zero = np.zeros_like(weights)
     value, _, report.clamped = _objective_kernel(
         params, stats, lam, [x_strong], sem, zero, weights / max(batch, 1),

@@ -149,8 +149,8 @@ def make_blobs(n: int, l: int, d: int, separation: float,
         raise ValueError("need at least one instance per class")
     if d < 2:
         raise ValueError("need d >= 2")
-    if separation <= 0:
-        raise ValueError("separation must be > 0")
+    if not (math.isfinite(separation) and separation > 0):
+        raise ValueError(f"separation must be finite and > 0, got {separation}")
     centers = _place_centers(l, d, separation, rng)
     base = n // l
     counts = np.full(l, base)
@@ -176,6 +176,8 @@ def stratified_split(ds: PLDataset, n_test: int,
     """Split off ~n_test instances, proportionally per true class."""
     if ds.truth is None:
         raise ValueError("stratified split needs truth labels")
+    if not 0 <= n_test <= ds.n:
+        raise ValueError(f"n_test must lie in [0, {ds.n}], got {n_test}")
     test_idx = []
     for j in range(ds.l):
         members = np.flatnonzero(ds.truth == j)

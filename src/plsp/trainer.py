@@ -28,10 +28,11 @@ import numpy as np
 
 from . import augment
 from .augment import AugmentSpec, derive_rng
-from .model import ClassifierParams, init_classifier, snapshot_frozen
+from .model import ClassifierParams, init_classifier
 from .objective import build_pseudo_split, loss_df, semantic_batch_loss
 # Bound here though the step no longer calls them: the benchmark's span tracer
 # (perfbench/spans.py) patches these names in this module.
+from .model import snapshot_frozen  # noqa: F401
 from .objective import (assemble_batch, loss_complementary_semantic,  # noqa: F401
                         loss_sup_semantic, reg_consistency_semantic,
                         weak_cav_pseudo_labels)
@@ -190,14 +191,6 @@ class _Cycler:
         return np.concatenate(out)
 
 
-def _log_softmax(params: ClassifierParams, x: np.ndarray):
-    # looked up at call time: the span tracer patches model.extract_features
-    from .model import extract_features
-    feats = extract_features(params, x)
-    z = feats @ params.head.T
-    return z - z.logsumexp(axis=1, keepdims=True)
-
-
 def pretrain(ds: PLDataset, params: ClassifierParams,
              config: TrainConfig) -> list[MetricsRecord]:
     """Disambiguation-free stage: ``train_df_baseline`` for the config's
@@ -228,7 +221,7 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
         clamped = 0
         for _ in range(config.inner_iters):
             idx = cycler.take(config.batch_unlabeled)
-            loss, batch_clamped = loss_df(_log_softmax(params, x[idx]), ds.candidates[idx])
+            loss, batch_clamped = loss_df(params, x[idx], ds.candidates[idx])
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -269,10 +262,11 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
 
     Per inner iteration: draw a labeled and an unlabeled mini-batch (a pool
     thinner than its batch is drawn whole, then from a fresh shuffle; an
-    empty pool gives an empty batch, whose terms are 0), snapshot the
-    parameters, generate weak/strong variants, fold the labeled batch's
-    un-augmented features into the per-class covariance stats, evaluate the
-    combined objective at the current (gamma, lam, tau), and take an SGD step.
+    empty pool gives an empty batch, whose terms are 0), generate weak/strong
+    variants, fold the labeled batch's un-augmented features into the
+    per-class covariance stats, evaluate the combined objective (its weak
+    branch a numpy forward of the live weights) at the current (gamma, lam,
+    tau), and take an SGD step.
     Confident counts accumulate over the epoch and set the next epoch's
     thresholds. Returns one MetricsRecord per epoch. Steps over a dataset of
     no instance raise ValueError.
@@ -297,7 +291,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
         tau = update_tau(sigma, config.tau0, config.tau_floor)
         sigma = np.zeros(ds.l, dtype=np.int64)
 
-        split = build_pseudo_split(ds, snapshot_frozen(params), config.k)
+        split = build_pseudo_split(ds, params, config.k)
         split.check(ds, config.k)
         lab_cycler = _Cycler(split.labeled_idx, batch_rng)
         unl_cycler = _Cycler(split.unlabeled_idx, batch_rng)
@@ -308,7 +302,6 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
         for c in range(config.inner_iters):
             lab = lab_cycler.take(config.batch_labeled)
             unl = unl_cycler.take(config.batch_unlabeled)
-            frozen = snapshot_frozen(params)
             wk_rng = derive_rng(config.seed, _TAG_AUG_WEAK, t, c)
             st_rng = derive_rng(config.seed, _TAG_AUG_STRONG, t, c)
             x_w = augment.weak_batch(x_raw[unl], spec, wk_rng).reshape(unl.size, width)
@@ -316,7 +309,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
             update_cov_stats(stats, params.eval_features(x_flat[lab]), lab_y[lab])
 
             total, batch_report = semantic_batch_loss(
-                params, frozen, stats, x_flat[lab], lab_y[lab], x_flat[unl],
+                params, stats, x_flat[lab], lab_y[lab], x_flat[unl],
                 x_w, x_s, ds.candidates[unl], lam, tau, gamma, config.beta)
             opt.zero_grad()
             total.backward()

@@ -590,6 +590,55 @@ def test_sweep_k_checks_every_k_before_training(tmp_path, monkeypatch, capsys):
     assert "names no k" in error
 
 
+@pytest.mark.parametrize("sizes,message", [
+    (["--n-test", "-5"], "n_test must lie in [0, 1995], got -5"),
+    (["--n", "-5"], "n_test must lie in [0, 495], got 500"),
+])
+def test_generate_with_a_negative_size_exits_4_writing_nothing(tmp_path, capsys, sizes,
+                                                               message):
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        "generate", "--out", str(tmp_path / "out.plsp"),
+        "--test-out", str(tmp_path / "out.test.plsp"), *sizes])
+    assert message in error
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_generate_with_a_non_finite_separation_exits_4_writing_nothing(tmp_path, capsys,
+                                                                       value):
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        "generate", "--out", str(tmp_path / "out.plsp"), "--separation", value])
+    assert "separation must be finite" in error
+
+
+@pytest.mark.parametrize("classes,dim", [(6, 2), (4, 3)])
+def test_eval_on_a_dataset_unlike_the_checkpoint_exits_4_writing_nothing(
+        tmp_path, capsys, classes, dim):
+    data, ckpt = tmp_path / "d.plsp", tmp_path / "m.plsw"
+    assert _run(["generate", "--out", str(data), "--n", "30", "--classes", str(classes),
+                 "--dim", str(dim)]) == 0
+    save_checkpoint(ckpt, init_classifier(2, (4,), 4, np.random.default_rng(0)))
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        "eval", "--checkpoint", str(ckpt), "--data", str(data),
+        "--out", str(tmp_path / "out.jsonl")])
+    assert "checkpoint takes 2 input features and 4 classes" in error
+    assert f"dataset has {dim} features and {classes} classes" in error
+
+
+@pytest.mark.parametrize("command", ["train", "df-baseline", "sweep-k"])
+@pytest.mark.parametrize("classes,dim", [(6, 2), (4, 3)])
+def test_a_test_set_unlike_the_training_set_exits_4_before_training(
+        tmp_path, monkeypatch, capsys, command, classes, dim):
+    data, test = tmp_path / "d.plsp", tmp_path / "t.plsp"
+    assert _run(["generate", "--out", str(data), "--n", "30", "--classes", "4"]) == 0
+    assert _run(["generate", "--out", str(test), "--n", "30", "--classes", str(classes),
+                 "--dim", str(dim)]) == 0
+    monkeypatch.setattr(evalcli, "new_classifier", _no_training)
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        command, "--data", str(data), "--test", str(test), *_outputs(tmp_path, command)])
+    assert f"test set has {classes} classes of shape ({dim},)" in error
+    assert "training set has 4 classes of shape (2,)" in error
+
+
 def _grid_dataset(path, n: int) -> None:
     rng = np.random.default_rng(5)
     truth = (np.arange(n) % 4).astype(np.uint32)

@@ -129,5 +129,7 @@ def test_corrupt_checkpoint_exits_3(workdir, params, corrupt):
     write_dataset(workdir / "c.plsp", ds)
     data = (workdir / "c.plsp").read_bytes()
     buf = path.read_bytes()
-    assert _eval(workdir, buf, data) == 0
+    # no dataset has fewer than 3 classes, so eval refuses a 1- or 2-class
+    # checkpoint as a class-count mismatch
+    assert _eval(workdir, buf, data) == (0 if params.n_classes >= 3 else 4)
     assert _eval(workdir, corrupt(buf), data) == 3

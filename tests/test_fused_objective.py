@@ -134,9 +134,11 @@ def _ref_step(params, frozen, stats, x_lab, y_lab, x_unl, x_w, x_s, cands,
 
 # -- equivalence on fixed batches ------------------------------------------------
 
-def _batch(l, n_lab, n_unl, seed, present=None, tau=None, head_scale=1.0):
-    """A live model nudged off its frozen snapshot, populated covariances and
-    one step's inputs; ``present`` restricts the classes the batch uses."""
+def _batch(l, n_lab, n_unl, seed, present=None, tau=None, head_scale=1.0,
+           nudge=0.05):
+    """A live model nudged off its frozen snapshot by ``nudge`` gaussian
+    noise, populated covariances and one step's inputs; ``present``
+    restricts the classes the batch uses."""
     rng = np.random.default_rng(seed)
     d_in, d_f = 4, 8
     params = init_classifier(d_in, (12, d_f), l, rng)
@@ -146,7 +148,7 @@ def _batch(l, n_lab, n_unl, seed, present=None, tau=None, head_scale=1.0):
     update_cov_stats(stats, feats, rng.integers(0, l, size=20 * l))
     frozen = snapshot_frozen(params)
     for p in params.parameters():
-        p.data += 0.05 * rng.standard_normal(p.data.shape)
+        p.data += nudge * rng.standard_normal(p.data.shape)
     classes = np.arange(l) if present is None else np.asarray(present)
     x_lab = rng.standard_normal((n_lab, d_in))
     y_lab = rng.choice(classes, size=n_lab)
@@ -182,11 +184,13 @@ def _rel(a, b):
 @pytest.mark.parametrize("l", [3, 4, 10])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fused_step_matches_per_class_reference(l, case):
-    args = _batch(l, seed=100 + l, **CASES[case])
-    params = args[0]
-    ref_total, ref = _ref_step(*args)
+    # the step's weak branch reads the live weights, so the reference's
+    # frozen side is a snapshot of them; the model is not nudged, so the
+    # weak side sees the same weights as the per-term test's frozen copy
+    params, _, *rest = _batch(l, seed=100 + l, nudge=0.0, **CASES[case])
+    ref_total, ref = _ref_step(params, snapshot_frozen(params), *rest)
     ref_grads = [g.copy() for g in gradients(ref_total, params.parameters())]
-    total, got = semantic_batch_loss(*args)
+    total, got = semantic_batch_loss(params, *rest)
     grads = gradients(total, params.parameters())
 
     assert _rel(float(total.data), float(ref_total.data)) <= 1e-12
@@ -232,12 +236,11 @@ def test_per_term_functions_match_reference(l):
             assert _rel(g, r) <= 1e-12
 
 
-def test_fused_step_raises_on_non_finite_snapshot():
-    args = list(_batch(4, 6, 9, seed=300))
-    frozen = args[1]
-    frozen.head[0, 0] = np.nan
+def test_fused_step_raises_on_non_finite_weights():
+    params, _, *rest = _batch(4, 6, 9, seed=300)
+    params.head.data[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite logits"):
-        semantic_batch_loss(*args)
+        semantic_batch_loss(params, *rest)
 
 
 # -- the objective node against its Tensor chain ----------------------------------

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from plsp.model import (ClassifierParams, extract_features, init_classifier,
-                        snapshot_frozen)
+from plsp.model import ClassifierParams, init_classifier, snapshot_frozen
 from plsp.objective import (DegenerateMassError, LOG_EPS, assemble_batch,
                             build_pseudo_split, cav_scores, loss_df,
                             loss_complementary_semantic, loss_sup_semantic,
@@ -39,34 +38,40 @@ def _random_setup(rng, l=3, d_f=6, input_dim=4, n_stats=40):
 
 # -- disambiguation-free loss --------------------------------------------------
 
+def _df_loss(logp: np.ndarray, mask: np.ndarray):
+    """``loss_df`` on rows whose logits are ``logp``: an identity head with
+    no hidden layer, so a normalized row's log-softmax is itself."""
+    return loss_df(_identity_model(np.eye(logp.shape[1])), logp, mask)
+
+
 def test_loss_df_hand_case():
-    logp = Tensor(np.log([[0.5, 0.25, 0.25]]))
+    logp = np.log([[0.5, 0.25, 0.25]])
     mask = np.array([[True, True, False]])
-    loss, clamped = loss_df(logp, mask)
+    loss, clamped = _df_loss(logp, mask)
     assert abs(float(loss.data) - 1.039721) < 1e-6
     assert clamped == 0
 
 
 def test_loss_df_uniform_gives_log_l():
     for l in (3, 5, 8):
-        logp = Tensor(np.log(np.full((4, l), 1.0 / l)))
+        logp = np.log(np.full((4, l), 1.0 / l))
         mask = np.zeros((4, l), dtype=bool)
         mask[:, : l - 1] = True
-        loss, _ = loss_df(logp, mask)
+        loss, _ = _df_loss(logp, mask)
         assert abs(float(loss.data) - math.log(l)) < 1e-12
 
 
 def test_loss_df_singleton_is_cross_entropy():
     p = np.array([[0.2, 0.7, 0.1]])
     mask = np.array([[False, True, False]])
-    loss, _ = loss_df(Tensor(np.log(p)), mask)
+    loss, _ = _df_loss(np.log(p), mask)
     assert abs(float(loss.data) + math.log(0.7)) < 1e-12
 
 
 def test_loss_df_clamps_and_reports():
-    logp = Tensor(np.array([[-50.0, -0.5]]))
+    logp = np.array([[-50.0, -0.5]])
     mask = np.array([[True, True]])
-    loss, clamped = loss_df(logp, mask)
+    loss, clamped = _df_loss(logp, mask)
     assert clamped == 1
     assert np.isfinite(float(loss.data))
     assert float(loss.data) <= (-LOG_EPS - 0.5 * 0.0) / 2 + 1
@@ -99,8 +104,8 @@ def _split_dataset(rng, n=12, l=3):
                      truth=truth.astype(np.uint32))
 
 
-def _reference_split(ds, frozen, k):
-    z = frozen.logits_of(ds.flat_features())
+def _reference_split(ds, params, k):
+    z = params.eval_logits(ds.flat_features())
     v = z * np.abs(z - 1.0)
     pseudo = []
     for i in range(ds.n):
@@ -121,8 +126,7 @@ def _reference_split(ds, frozen, k):
 def test_split_k0_is_all_unlabeled():
     rng = np.random.default_rng(0)
     ds = _split_dataset(rng)
-    frozen = snapshot_frozen(init_classifier(2, (4,), 3, rng))
-    split = build_pseudo_split(ds, frozen, 0)
+    split = build_pseudo_split(ds, init_classifier(2, (4,), 3, rng), 0)
     assert split.n_labeled == 0
     assert split.n_unlabeled == ds.n
     split.check(ds, 0)
@@ -131,8 +135,7 @@ def test_split_k0_is_all_unlabeled():
 def test_split_k_ge_n_takes_everything():
     rng = np.random.default_rng(1)
     ds = _split_dataset(rng)
-    frozen = snapshot_frozen(init_classifier(2, (4,), 3, rng))
-    split = build_pseudo_split(ds, frozen, ds.n + 5)
+    split = build_pseudo_split(ds, init_classifier(2, (4,), 3, rng), ds.n + 5)
     assert split.n_labeled == ds.n
     assert split.n_unlabeled == 0
     split.check(ds, ds.n + 5)
@@ -147,10 +150,10 @@ def test_split_matches_reference_on_random_datasets():
         truth = rng.integers(0, l, size=n)
         ds = PLDataset(features=feats, candidates=generate_uss(truth, l, rng),
                        truth=truth.astype(np.uint32))
-        frozen = snapshot_frozen(init_classifier(3, (5,), l, rng))
+        params = init_classifier(3, (5,), l, rng)
         k = int(rng.integers(0, 6))
-        split = build_pseudo_split(ds, frozen, k)
-        lab, lab_y, unl = _reference_split(ds, frozen, k)
+        split = build_pseudo_split(ds, params, k)
+        lab, lab_y, unl = _reference_split(ds, params, k)
         assert split.labeled_idx.tolist() == lab
         assert split.labeled_y.tolist() == lab_y
         assert split.unlabeled_idx.tolist() == unl
@@ -166,10 +169,10 @@ def test_split_hand_case():
     ds = PLDataset(features=np.vstack([feats, feats]).astype(np.float32),
                    candidates=np.vstack([cands, cands]))
 
-    class FakeFrozen:
+    class FakeModel:
         n_classes = 3
 
-        def logits_of(self, x):
+        def eval_logits(self, x):
             return np.array([[2.0, 0.5, 0.0],    # v0 = 2.0  -> class 0
                              [0.5, 3.0, 0.0],    # v1 = 6.0  -> class 1
                              [2.5, 0.0, 0.2],    # v0 = 3.75 -> class 0
@@ -177,7 +180,7 @@ def test_split_hand_case():
                              [0.5, 2.0, 0.0],    # v1 = 2.0  -> class 1
                              [0.5, 0.0, 1.8]])   # v2 = 1.44 -> class 2
 
-    split = build_pseudo_split(ds, FakeFrozen(), 1)
+    split = build_pseudo_split(ds, FakeModel(), 1)
     assert split.labeled_idx.tolist() == [1, 2, 5]
     assert split.labeled_y.tolist() == [1, 0, 2]
     assert split.unlabeled_idx.tolist() == [0, 3, 4]
@@ -575,10 +578,10 @@ def test_shifted_log_probs_tensor_matches_numpy_map():
     from plsp.semstats import shifted_softmax_probs
     params, stats = _random_setup(rng, d_f=5)
     x = rng.standard_normal((4, 4))
-    feats = extract_features(params, x)
+    feats = params.eval_features(x)
     for lam in (0.0, 0.03, 0.4):
-        logp = shifted_log_probs(params.head, feats, stats.cov(1), lam)
+        logp = shifted_log_probs(params, x, stats.cov(1), lam)
         for i in range(4):
-            ref = shifted_softmax_probs(params.head.data, feats.data[i],
+            ref = shifted_softmax_probs(params.head.data, feats[i],
                                         stats.cov(1), lam)
             assert np.abs(np.exp(logp.data[i]) - ref).max() < 1e-12

@@ -168,6 +168,28 @@ def test_blobs_preconditions():
         make_blobs(10, 3, 2, 0.0, rng)
 
 
+@pytest.mark.parametrize("separation", [float("nan"), float("inf"), -float("inf")])
+def test_blobs_reject_a_non_finite_separation(separation):
+    with pytest.raises(ValueError, match="separation must be finite"):
+        make_blobs(10, 3, 2, separation, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_test", [-5, -1, 101])
+def test_stratified_split_rejects_a_size_outside_the_dataset(n_test):
+    rng = np.random.default_rng(3)
+    ds = make_blobs(100, 4, 2, 5.0, rng)
+    with pytest.raises(ValueError, match=r"n_test must lie in \[0, 100\]"):
+        stratified_split(ds, n_test, rng)
+
+
+@pytest.mark.parametrize("n_test", [0, 100])
+def test_stratified_split_takes_none_or_all(n_test):
+    rng = np.random.default_rng(3)
+    ds = make_blobs(100, 4, 2, 5.0, rng)
+    train, test = stratified_split(ds, n_test, rng)
+    assert (train.n, test.n) == (100 - n_test, n_test)
+
+
 def test_stratified_split_counts():
     rng = np.random.default_rng(3)
     ds = make_blobs(100, 4, 2, 5.0, rng)

@@ -4,6 +4,7 @@ name would otherwise show up only as an AttributeError in a traced run
 (``perfbench/run.py --trace 1``), and a call the tracer cannot see only as a
 per-layer metric that reads 0."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -72,3 +73,25 @@ def test_traced_runs_see_the_training_loops(tmp_path, capsys):
         assert name in within, name
     assert {"trainer.df_baseline", "trainer.train_ss"} <= within["model.forward"]
     assert "trainer.train_ss" in within["model.predict"]  # trainer.f1_eval_s
+
+
+def _imports_in_functions(node, module: str, where: str | None = None):
+    """``module.function: name`` for each name imported inside a function
+    body, the function being the innermost one around the import."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports_in_functions(child, module, child.name)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)) and where:
+            yield from (f"{module}.{where}: {alias.name}" for alias in child.names)
+        else:
+            yield from _imports_in_functions(child, module, where)
+
+
+def test_one_call_time_import_is_left():
+    """Imports sit at module level. The one exception is the lookup of
+    ``sample_semantic`` at call time, which the span tracer patches in
+    ``semstats`` only."""
+    found = [name for path in sorted(Path(plsp.__file__).parent.glob("*.py"))
+             for name in _imports_in_functions(
+                 ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert found == ["objective.mc_oracle_reg: sample_semantic"]

@@ -4,16 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from plsp import augment, trainer
+from plsp import augment, model, trainer
 from plsp.model import snapshot_frozen
 from plsp.objective import (build_pseudo_split, loss_complementary_semantic,
                             loss_df, weak_cav_pseudo_labels)
 from plsp.pldata import PLDataset, generate_fps, generate_uss, make_blobs
 from plsp.tensorcore import SgdOptimizer, gradients
-from plsp.trainer import (MetricsRecord, TrainConfig, _Cycler, _log_softmax,
-                          new_classifier, pretrain, schedule_gamma,
-                          schedule_lambda, train_df_baseline, train_ss,
-                          update_tau)
+from plsp.trainer import (MetricsRecord, TrainConfig, _Cycler, new_classifier,
+                          pretrain, schedule_gamma, schedule_lambda,
+                          train_df_baseline, train_ss, update_tau)
 
 
 def _blob_pl_dataset(n=120, l=3, q=0.4, seed=0, separation=5.0):
@@ -136,7 +135,7 @@ def test_full_batch_descent_is_nonincreasing():
     opt = SgdOptimizer(params.parameters(), config)
     losses = []
     for _ in range(30):
-        loss, _ = loss_df(_log_softmax(params, x), ds.candidates)
+        loss, _ = loss_df(params, x, ds.candidates)
         losses.append(float(loss.data))
         opt.zero_grad()
         loss.backward()
@@ -169,7 +168,7 @@ def test_train_ss_gamma_lambda_zero_equals_complementary_only():
     x_flat = ds.flat_features().astype(np.float64)
     opt = SgdOptimizer(params_b.parameters(), config)
     batch_rng = augment.derive_rng(config.seed, _TAG_BATCH)
-    split = build_pseudo_split(ds, snapshot_frozen(params_b), config.k)
+    split = build_pseudo_split(ds, params_b, config.k)
     lab_cycler = _Cycler(split.labeled_idx, batch_rng)
     unl_cycler = _Cycler(split.unlabeled_idx, batch_rng)
     for c in range(config.inner_iters):
@@ -190,6 +189,25 @@ def test_train_ss_gamma_lambda_zero_equals_complementary_only():
         opt.step()
     for a, b in zip(params_a.parameters(), params_b.parameters()):
         assert np.allclose(a.data, b.data, atol=1e-12), "mirror diverged"
+
+
+def test_train_ss_takes_no_snapshot_of_the_model(monkeypatch):
+    """The pseudo split and the weak branch read the live weights, so the
+    loop has no use for a copy of them."""
+    def no_snapshot(params):
+        raise AssertionError("train_ss copied the model")
+
+    monkeypatch.setattr(trainer, "snapshot_frozen", no_snapshot)
+    monkeypatch.setattr(model, "snapshot_frozen", no_snapshot)
+    ds = _blob_pl_dataset(n=60, seed=9)
+    config = _tiny_config(ss_epochs=2)
+    params = new_classifier(ds, config)
+    before = [p.data.copy() for p in params.parameters()]
+    records = train_ss(ds, params, config)
+    assert len(records) == 2
+    assert all(r.n_labeled > 0 and r.n_unlabeled > 0 for r in records)
+    assert not all(np.array_equal(p.data, b)
+                   for p, b in zip(params.parameters(), before))
 
 
 def test_train_ss_deterministic_records():
@@ -272,10 +290,10 @@ def test_train_ss_draws_a_thin_pool_without_replacement(monkeypatch):
     drawn = []
     original = trainer.semantic_batch_loss
 
-    def recording(params, frozen, stats, x_lab, y_lab, x_unl, *rest):
+    def recording(params, stats, x_lab, y_lab, x_unl, *rest):
         # each row of the blobs is distinct, so a row names its instance
         drawn.append(np.argmax((x_unl[:, None, :] == x_flat[None]).all(axis=2), axis=1))
-        return original(params, frozen, stats, x_lab, y_lab, x_unl, *rest)
+        return original(params, stats, x_lab, y_lab, x_unl, *rest)
 
     monkeypatch.setattr(trainer, "semantic_batch_loss", recording)
     params = new_classifier(ds, config)
