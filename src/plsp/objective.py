@@ -20,6 +20,8 @@ from ``semstats.pairwise_quadratic``. With one node per hidden layer, a step
 with two hidden layers has 9 nodes (with the parameters and the input) for
 any class count. The per-term functions run the same kernel with the other
 row blocks empty. The weak branch is one numpy forward of the live weights.
+The disambiguation-free loss (``loss_df``) is likewise one scalar node after
+the forward, so its step has the same 9 nodes.
 
 Gradient flow: the weak branch (probabilities, semantic labels, pseudo
 targets) and the pseudo split are numpy forwards of the live weights with no
@@ -138,15 +140,32 @@ def build_pseudo_split(ds: PLDataset, params: ClassifierParams, k: int) -> Pseud
 def loss_df(params: ClassifierParams, x: np.ndarray,
             candidates: np.ndarray) -> tuple[Tensor, int]:
     """Mean over the rows ``x`` of the candidate-averaged negative log of the
-    model's softmax: (1/|C_i|) sum_{j in C_i} -log p_ij. Returns (loss, clamp count)."""
+    model's softmax: (1/|C_i|) sum_{j in C_i} -log p_ij. Returns (loss, clamp count).
+
+    One scalar node on (features, head) with a closed-form backward: d loss
+    / d z = g - softmax * rowsum(g), with g = -w / batch where log p >
+    LOG_EPS and 0 where the clamp holds.
+    """
     candidates = np.asarray(candidates, dtype=bool)
-    z = extract_features(params, x) @ params.head.T
-    log_probs = z - z.logsumexp(axis=1, keepdims=True)
+    feats = extract_features(params, x)
+    head = params.head.data
+    z = feats.data @ head.T
+    m = z.max(axis=1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    shifted = np.exp(z - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    log_p = z - (m + np.log(total))
     weights = candidates / candidates.sum(axis=1, keepdims=True)
-    clamped = int(np.sum((log_probs.data < LOG_EPS) & candidates))
-    safe = log_probs.maximum(LOG_EPS)
-    batch = candidates.shape[0]
-    return -(safe * weights).sum() / batch, clamped
+    clamped = int(np.sum((log_p < LOG_EPS) & candidates))
+    inv_batch = 1.0 / float(candidates.shape[0])
+    value = -np.sum(np.maximum(log_p, LOG_EPS) * weights) * inv_batch
+
+    def vjp(g):
+        g = (-(g * inv_batch) * weights) * (log_p > LOG_EPS)
+        dz = g - shifted / total * g.sum(axis=1, keepdims=True)
+        return dz @ head, (feats.data.T @ dz).T
+
+    return _node(feats, params.head, value, vjp), clamped
 
 
 def pseudo_target(p_weak: np.ndarray, candidates: np.ndarray) -> np.ndarray:

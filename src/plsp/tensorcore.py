@@ -4,9 +4,11 @@ The ops: matmul, add/sub/mul with rank<=2 broadcasting, exp, log,
 elementwise max against a constant, axis sums, transpose, reshape and a
 fused logsumexp whose backward is the softmax. Training adds nodes of its
 own with hand-written backwards, built on ``Tensor._child``: one dense ReLU
-layer per node (``plsp.model``), and the shifted log-softmax and the whole
-semantic objective, each one node (``plsp.objective``). Reshape serves only
-the per-class reference in the tests.
+layer per node (``plsp.model``), and the disambiguation-free loss, the
+shifted log-softmax and the whole semantic objective, each one node
+(``plsp.objective``). The training loops build no graph from the general
+ops; ``objective.assemble_batch`` and the op-chain references in the tests
+do.
 Matrix products go to numpy's BLAS, which may spread them over threads (see
 the README on OPENBLAS_NUM_THREADS); everything else runs in one thread.
 Backward closures hold their parents and constant arrays, never their own

@@ -16,7 +16,7 @@ from plsp.objective import (LOG_EPS, assemble_batch, semantic_batch_loss,
 from plsp.pldata import generate_fps, generate_uss, make_blobs
 from plsp.semstats import ClassCovStats, probit_weak_probs, update_cov_stats
 from plsp.tensorcore import Tensor, gradients
-from plsp.trainer import TrainConfig, new_classifier, train_ss
+from plsp.trainer import TrainConfig, new_classifier, train_df_baseline, train_ss
 
 
 # -- per-class reference -------------------------------------------------------
@@ -318,7 +318,9 @@ def _count_nodes(root):
     return len(seen)
 
 
-def _step_graph_sizes(monkeypatch, l):
+def _graph_sizes(monkeypatch, l, run):
+    """Node count of every backward graph in ``run(ds, params, config)`` and
+    ``extract_features`` calls per backward."""
     rng = np.random.default_rng(l)
     ds = make_blobs(30 * l, l, 2, 5.0, rng)
     ds.candidates = generate_fps(ds.truth, l, 0.4, rng)
@@ -339,11 +341,20 @@ def _step_graph_sizes(monkeypatch, l):
 
     monkeypatch.setattr(Tensor, "backward", counting_backward)
     monkeypatch.setattr(objective, "extract_features", counting_forward)
-    train_ss(ds, new_classifier(ds, config), config)
-    steps = config.ss_epochs * config.inner_iters
+    run(ds, new_classifier(ds, config), config)
+    steps = 2 * config.inner_iters
     assert len(nodes) == steps
     assert len(forwards) == steps
     return set(nodes)
+
+
+def _step_graph_sizes(monkeypatch, l):
+    return _graph_sizes(monkeypatch, l, train_ss)
+
+
+def _df_step_graph_sizes(monkeypatch, l):
+    return _graph_sizes(monkeypatch, l, lambda ds, params, config:
+                        train_df_baseline(ds, params, config, epochs=2))
 
 
 def test_step_graph_is_small_and_independent_of_class_count(monkeypatch):
@@ -353,3 +364,11 @@ def test_step_graph_is_small_and_independent_of_class_count(monkeypatch):
     # the objective node, a node per hidden layer, their weights and biases,
     # the head and the input
     assert four == {1 + 2 + 4 + 1 + 1}
+
+
+def test_df_step_graph_is_one_loss_node(monkeypatch):
+    four = _df_step_graph_sizes(monkeypatch, 4)
+    ten = _df_step_graph_sizes(monkeypatch, 10)
+    # the loss node, a node per hidden layer, their weights and biases, the
+    # head and the input, at any class count
+    assert four == ten == {1 + 2 + 4 + 1 + 1}

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from plsp.model import ClassifierParams, init_classifier, snapshot_frozen
+from plsp.model import (ClassifierParams, extract_features, init_classifier,
+                        snapshot_frozen)
 from plsp.objective import (DegenerateMassError, LOG_EPS, assemble_batch,
                             build_pseudo_split, cav_scores, loss_df,
                             loss_complementary_semantic, loss_sup_semantic,
@@ -75,6 +76,40 @@ def test_loss_df_clamps_and_reports():
     assert clamped == 1
     assert np.isfinite(float(loss.data))
     assert float(loss.data) <= (-LOG_EPS - 0.5 * 0.0) / 2 + 1
+
+
+def _loss_df_op_chain(params, x, candidates):
+    """``loss_df`` as a chain of Tensor ops, as it was first written; the
+    oracle for the one-node version."""
+    candidates = np.asarray(candidates, dtype=bool)
+    z = extract_features(params, x) @ params.head.T
+    log_probs = z - z.logsumexp(axis=1, keepdims=True)
+    weights = candidates / candidates.sum(axis=1, keepdims=True)
+    clamped = int(np.sum((log_probs.data < LOG_EPS) & candidates))
+    safe = log_probs.maximum(LOG_EPS)
+    return -(safe * weights).sum() / candidates.shape[0], clamped
+
+
+@pytest.mark.parametrize("l", [3, 4, 10])
+@pytest.mark.parametrize("hidden", [(), (7,), (9, 5)])
+def test_loss_df_node_matches_op_chain_bitwise(l, hidden):
+    rng = np.random.default_rng(10 * l + len(hidden))
+    params = init_classifier(6, hidden, l, rng)
+    n = 48
+    x = rng.standard_normal((n, 6))
+    x[:8] *= 300.0                      # saturated rows: some log p < LOG_EPS
+    candidates = rng.random((n, l)) < 0.5
+    candidates[np.arange(n), rng.integers(0, l, n)] = True
+    candidates[-6:] = np.eye(l, dtype=bool)[rng.integers(0, l, 6)]  # singletons
+    got, got_clamped = loss_df(params, x, candidates)
+    ref, ref_clamped = _loss_df_op_chain(params, x, candidates)
+    assert ref_clamped > 0
+    assert got_clamped == ref_clamped
+    assert np.array_equal(got.data, ref.data)
+    got_grads = gradients(got, params.parameters())
+    ref_grads = gradients(ref, params.parameters())
+    for g, r in zip(got_grads, ref_grads):
+        assert np.array_equal(g, r)
 
 
 # -- activation-value scoring ----------------------------------------------------

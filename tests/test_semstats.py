@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,35 @@ def test_cdf_against_erf_reference():
     for z in np.linspace(-8, 8, 65):
         ref = 0.5 * math.erfc(-float(z) / math.sqrt(2.0))
         assert abs(std_normal_cdf(float(z)) - ref) < 1e-12
+
+
+def _cdf_accuracy_inputs():
+    rng = np.random.default_rng(31)
+    yield np.linspace(-40.0, 40.0, 800_001)
+    yield np.linspace(-38.5, -37.0, 100_001)          # Phi subnormal or near it
+    yield np.array([np.inf, -np.inf, 0.0, -0.0, np.nan, 5e-324, -5e-324,
+                    2.2e-308, -2.2e-308, 1e308, -1e308])
+    for scale in (1.0, 6.0, 25.0):
+        for _ in range(5):
+            yield rng.standard_normal(200_000) * scale
+
+
+def test_cdf_matches_scipy_ndtr_to_4_ulp():
+    """The numpy port against scipy.special.ndtr: within 4 ulp wherever
+    scipy's value is >= 1e-300, exactly 0 and 1 where scipy gives them, NaN
+    for NaN, and no RuntimeWarning."""
+    worst = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in _cdf_accuracy_inputs():
+            got, ref = std_normal_cdf(a), ndtr(a)
+            assert np.array_equal(np.isnan(got), np.isnan(a))
+            assert np.array_equal(got == 0.0, ref == 0.0)
+            assert np.array_equal(got == 1.0, ref == 1.0)
+            normal = ref >= 1e-300
+            ulps = np.abs(got[normal].view(np.int64) - ref[normal].view(np.int64))
+            worst = max(worst, int(ulps.max(initial=0)))
+    assert worst <= 4
 
 
 # -- closed-form probability maps --------------------------------------------

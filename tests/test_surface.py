@@ -7,6 +7,9 @@ per-layer metric that reads 0."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import plsp
@@ -95,3 +98,42 @@ def test_one_call_time_import_is_left():
              for name in _imports_in_functions(
                  ast.parse(path.read_text(encoding="utf-8")), path.stem)]
     assert found == ["objective.mc_oracle_reg: sample_semantic"]
+
+
+def _run_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(plsp.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    proc = _run_python("import sys, plsp.evalcli\n"
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                       tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: with it made unimportable, a tiny
+    generate, train, df-baseline, eval and verify each exit 0."""
+    commands = [
+        ["generate", "--out", "d.plsp", "--test-out", "t.plsp", "--n", "60",
+         "--n-test", "20", "--classes", "3"],
+        ["train", "--data", "d.plsp", "--test", "t.plsp", "--out", "m.plsw",
+         "--metrics", "m.jsonl", "--hidden-dims", "8", "--pretrain-epochs", "1",
+         "--ss-epochs", "1", "--inner-iters", "2", "--batch-labeled", "8",
+         "--batch-unlabeled", "16", "--k", "5"],
+        ["df-baseline", "--data", "d.plsp", "--metrics", "df.jsonl", "--epochs", "1",
+         "--hidden-dims", "8", "--inner-iters", "2", "--batch-unlabeled", "16"],
+        ["eval", "--checkpoint", "m.plsw", "--data", "t.plsp"],
+        ["verify", "--instances", "1", "--mc-samples", "1000"],
+    ]
+    proc = _run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "from plsp.evalcli import cli_main\n"
+        f"print('exit codes', [cli_main(argv) for argv in {commands!r}])\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0, 0, 0]", \
+        proc.stdout + proc.stderr
