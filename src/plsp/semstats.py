@@ -177,19 +177,22 @@ def std_normal_cdf(a):
     c = np.maximum(z, 1.0)
     np.minimum(c, 8.0, out=c)
     erfc = _ratio(_ERFC_P, _ERFC_Q, c, np.exp(np.multiply(-c, c)))  # at clip(|x|, 1, 8)
-    far = z >= 8.0
-    if far.any():
+    if not z.max(initial=0.0) < 8.0:                    # a NaN max lands here too
+        far = z >= 8.0
         zf = np.minimum(z[far], 27.0)                   # 27^2 > MAXLOG already
-        tail = _ratio(_ERFC_R, _ERFC_S, zf, np.exp(np.multiply(-zf, zf)))
-        tail[zf * zf > _MAXLOG] = 0.0
-        erfc[far] = tail
+        beyond = _ratio(_ERFC_R, _ERFC_S, zf, np.exp(np.multiply(-zf, zf)))
+        beyond[zf * zf > _MAXLOG] = 0.0
+        erfc[far] = beyond
     below_one = z < 1.0
-    erfc = (1.0 - erf) * below_one + erfc * ~below_one
+    erfc *= ~below_one
+    erfc += (1.0 - erf) * below_one                     # erfc(|x|)
     erfc *= 0.5
-    tail_y = np.copysign(erfc, -x)                      # 1 - y for x > 0
-    tail_y += x > 0
+    tail = np.subtract(x > 0, np.copysign(erfc, x))     # 0.5 erfc, 1 minus it for x > 0
     small = z < _SQRT1_2
-    y = (0.5 + 0.5 * np.copysign(erf, x)) * small + tail_y * ~small
+    y = 0.5 + 0.5 * np.copysign(erf, x)
+    y *= small
+    tail *= ~small
+    y += tail
     return y.reshape(a.shape)[()]
 
 
@@ -233,11 +236,12 @@ def probit_weak_probs(head: np.ndarray, feats: np.ndarray, cov: np.ndarray,
     # pair gives both directions (below 1 they agree to rounding). Beyond
     # |x| = 8 both directions end at the clip, so the argument stops there.
     tail = std_normal_cdf(-np.minimum(np.abs(x), 8.0))
-    # exact 0/1 blends: x > 0 takes (1 - tail, tail), otherwise (tail, 1 - tail)
-    positive = x > 0
-    signed = tail * (1.0 - 2.0 * positive)
-    phi_up = np.clip(positive + signed, _PHI_CLAMP, 1.0 - _PHI_CLAMP)
-    phi_low = np.clip(~positive - signed, _PHI_CLAMP, 1.0 - _PHI_CLAMP)
+    # exact 0/1 blends: x > 0 takes (1 - tail, tail), x < 0 (tail, 1 - tail),
+    # and x = +-0 has tail = 0.5 both ways
+    negative = np.signbit(x)
+    signed = np.copysign(tail, x)
+    phi_up = np.clip(~negative - signed, _PHI_CLAMP, 1.0 - _PHI_CLAMP)
+    phi_low = np.clip(negative + signed, _PHI_CLAMP, 1.0 - _PHI_CLAMP)
     pick = np.eye(n_classes)
     # sum over j' != j of 1/Phi(beta (z_j - z_j') / s_jj'); the j' = j term is 2
     den = (2.0 - n_classes) + (1.0 / phi_up) @ pick[upper] + (1.0 / phi_low) @ pick[lower]
