@@ -342,7 +342,7 @@ def _graph_sizes(monkeypatch, l, run):
     monkeypatch.setattr(Tensor, "backward", counting_backward)
     monkeypatch.setattr(objective, "extract_features", counting_forward)
     run(ds, new_classifier(ds, config), config)
-    steps = 2 * config.inner_iters
+    steps = config.ss_epochs * config.inner_iters
     assert len(nodes) == steps
     assert len(forwards) == steps
     return set(nodes)
@@ -354,7 +354,7 @@ def _step_graph_sizes(monkeypatch, l):
 
 def _df_step_graph_sizes(monkeypatch, l):
     return _graph_sizes(monkeypatch, l, lambda ds, params, config:
-                        train_df_baseline(ds, params, config, epochs=2))
+                        train_df_baseline(ds, params, config, config.ss_epochs))
 
 
 def test_step_graph_is_small_and_independent_of_class_count(monkeypatch):
