@@ -108,10 +108,3 @@ def strong_batch(xs: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) ->
     centres = rng.integers(0, (h, w), size=(n, 2))
     return _augment_images(xs, spec.pad, flips, offsets, size, centres)
 
-
-def weak(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
-    return weak_batch(np.asarray(x)[None], spec, rng)[0]
-
-
-def strong(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
-    return strong_batch(np.asarray(x)[None], spec, rng)[0]

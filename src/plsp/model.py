@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pldata import BadMagicError, BadVersionError, DatasetFormatError, _take
-from .tensorcore import Tensor, softmax
+from .tensorcore import Tensor, node, softmax
 
 CHECKPOINT_MAGIC = b"PLSW"
 CHECKPOINT_VERSION = 1
@@ -110,21 +110,17 @@ def extract_features(params: ClassifierParams, x: np.ndarray) -> Tensor:
 
 def _dense_relu(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """relu(a @ w + b) as one graph node; its backward masks the incoming
-    gradient once and gives the same arrays as the three-node chain."""
+    gradient once and gives the same arrays as the three-node chain. The
+    input rows take no gradient, so the first layer skips their product."""
     z = _affine_relu(a.data, w.data, b.data)
-    out = a._child(z, (a, w, b))
 
-    def backward(g):
+    def vjp(g):
         g = g * (z > 0.0)
-        if w.requires_grad:
-            w._accumulate(a.data.T @ g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-        if a.requires_grad:
-            a._accumulate(g @ w.data.T)
+        return (g @ w.data.T if a.requires_grad else None,
+                a.data.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
 
-    out._backward = backward
-    return out
+    return node(z, (a, w, b), vjp)
 
 
 class FrozenClassifier:

@@ -21,7 +21,9 @@ with two hidden layers has 9 nodes (with the parameters and the input) for
 any class count. The per-term functions run the same kernel with the other
 row blocks empty. The weak branch is one numpy forward of the live weights.
 The disambiguation-free loss (``loss_df``) is likewise one scalar node after
-the forward, so its step has the same 9 nodes.
+the forward, so its step has the same 9 nodes. Every node here is made by
+``tensorcore.node`` with a closed-form vjp; ``assemble_batch``, which sums
+the per-term losses, is one node on the three.
 
 Gradient flow: the weak branch (probabilities, semantic labels, pseudo
 targets) and the pseudo split are numpy forwards of the live weights with no
@@ -40,7 +42,7 @@ from .model import ClassifierParams, FrozenClassifier, extract_features
 from .pldata import PLDataset
 from .semstats import (ClassCovStats, DEFAULT_BETA, pairwise_quadratic,
                        probit_weak_probs)
-from .tensorcore import Tensor, softmax
+from .tensorcore import Tensor, node, softmax
 
 LOG_EPS = math.log(1e-12)
 
@@ -163,9 +165,10 @@ def loss_df(params: ClassifierParams, x: np.ndarray,
     def vjp(g):
         g = (-(g * inv_batch) * weights) * (log_p > LOG_EPS)
         dz = g - shifted / total * g.sum(axis=1, keepdims=True)
-        return dz @ head, (feats.data.T @ dz).T
+        return (dz @ head if feats.requires_grad else None,
+                (feats.data.T @ dz).T if params.head.requires_grad else None)
 
-    return _node(feats, params.head, value, vjp), clamped
+    return node(value, (feats, params.head), vjp), clamped
 
 
 def pseudo_target(p_weak: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -180,18 +183,20 @@ def pseudo_target(p_weak: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 
 # -- the semantic objective kernel --------------------------------------------
 
-def _shifted_log_softmax_np(w: np.ndarray, a: np.ndarray, covs: np.ndarray,
-                            classes: np.ndarray, lam: float):
+def _shifted_log_softmax(feats: Tensor, head: Tensor, covs: np.ndarray,
+                         classes: np.ndarray, lam: float):
     """Row i: log of exp(z_j) / sum_j' exp(z_j' + lam/2 * Q_c[j', j]) with
-    c = classes[i] picking the row's covariance from the (K, d_f, d_f) stack.
+    z = feats @ head.T and c = classes[i] picking the row's covariance from
+    the (K, d_f, d_f) stack.
 
     Returns the (B, l) log-probabilities and ``vjp(g)``, the closed-form
-    backward that maps a gradient on them to the gradients on ``a`` and
-    ``w``. The shifts come from ``pairwise_quadratic``; each row's
+    backward that maps a gradient on them to the gradients on ``feats`` and
+    ``head``. The shifts come from ``pairwise_quadratic``; each row's
     exp(z - m) sits in its class's block of a (B, K*l) matrix, so one matmul
     against the stacked gains gives every denominator and one transposed
     matmul gathers every class's shift gradient. Row-max and per-block shift-max constants cancel exactly.
     """
+    w, a = head.data, feats.data
     l, n_cov, batch = w.shape[0], covs.shape[0], a.shape[0]
     gain = 0.5 * lam * pairwise_quadratic(w, covs)            # (K, l, l)
     kappa = gain.reshape(n_cov, l * l).max(axis=1)
@@ -209,30 +214,17 @@ def _shifted_log_softmax_np(w: np.ndarray, a: np.ndarray, covs: np.ndarray,
     def vjp(g):
         r = g / den
         dz = g - expz * (r @ gain.T).reshape(batch, n_cov, l)[rows, classes]
-        # dQ_c = -lam/2 * gain_c * sum_{i in c} expz_i (x) r_i; with
-        # B_c = dQ_c + dQ_c^T, dL/dW += 2 sum_c (diag(B_c 1) - B_c) W cov_c
-        dq = (picked.T @ r * gain).reshape(n_cov, l, l) * (-0.5 * lam)
-        sym = dq + np.swapaxes(dq, 1, 2)
-        lap_w = sym.sum(axis=2)[:, :, None] * w - sym @ w
-        return dz @ w, dz.T @ a + 2.0 * (lap_w @ covs).sum(axis=0)
+        dw = None
+        if head.requires_grad:
+            # dQ_c = -lam/2 * gain_c * sum_{i in c} expz_i (x) r_i; with
+            # B_c = dQ_c + dQ_c^T, dL/dW += 2 sum_c (diag(B_c 1) - B_c) W cov_c
+            dq = (picked.T @ r * gain).reshape(n_cov, l, l) * (-0.5 * lam)
+            sym = dq + np.swapaxes(dq, 1, 2)
+            lap_w = sym.sum(axis=2)[:, :, None] * w - sym @ w
+            dw = dz.T @ a + 2.0 * (lap_w @ covs).sum(axis=0)
+        return dz @ w if feats.requires_grad else None, dw
 
     return log_p, vjp
-
-
-def _node(feats: Tensor, head: Tensor, value, vjp) -> Tensor:
-    """A graph node on (feats, head) whose backward maps its incoming
-    gradient through ``vjp``."""
-    out = feats._child(value, (feats, head))
-
-    def backward(g):
-        da, dw = vjp(g)
-        if feats.requires_grad:
-            feats._accumulate(da)
-        if head.requires_grad:
-            head._accumulate(dw)
-
-    out._backward = backward
-    return out
 
 
 def shifted_log_probs(params: ClassifierParams, x: np.ndarray, cov: np.ndarray,
@@ -243,9 +235,9 @@ def shifted_log_probs(params: ClassifierParams, x: np.ndarray, cov: np.ndarray,
     graph node on (features, head).
     """
     feats = extract_features(params, x)
-    return _node(feats, params.head, *_shifted_log_softmax_np(
-        params.head.data, feats.data, np.asarray(cov)[None],
-        np.zeros(feats.shape[0], dtype=np.int64), lam))
+    log_p, vjp = _shifted_log_softmax(feats, params.head, np.asarray(cov)[None],
+                                      np.zeros(feats.shape[0], dtype=np.int64), lam)
+    return node(log_p, (feats, params.head), vjp)
 
 
 def _objective_kernel(params: ClassifierParams, stats: ClassCovStats, lam: float,
@@ -271,8 +263,7 @@ def _objective_kernel(params: ClassifierParams, stats: ClassCovStats, lam: float
     if not rows:
         return Tensor(0.0), (0.0, 0.0, 0.0), 0
     feats = extract_features(params, np.concatenate(rows))
-    log_ps, vjp = _shifted_log_softmax_np(params.head.data, feats.data,
-                                          stats.covs, classes, lam)
+    log_ps, vjp = _shifted_log_softmax(feats, params.head, stats.covs, classes, lam)
     # np.maximum, not a mask: a NaN log-probability stays NaN in the total
     safe = np.maximum(log_ps, LOG_EPS)
     p = np.exp(log_ps)
@@ -292,7 +283,7 @@ def _objective_kernel(params: ClassifierParams, stats: ClassCovStats, lam: float
               0.0 - float(np.sum(log_rest * cl_w)))
     clamped = int(np.sum((log_ps < LOG_EPS) & ((sup_w > 0) | (reg_w > 0)))
                   + np.sum((one_minus < 1e-12) & (cl_w > 0)))
-    return _node(feats, params.head, total, total_vjp), values, clamped
+    return node(total, (feats, params.head), total_vjp), values, clamped
 
 
 def _weak_branch(feats: np.ndarray, head: np.ndarray, stats: ClassCovStats,
@@ -437,11 +428,19 @@ def assemble_batch(loss_sup: Tensor, reg_u: Tensor, loss_cl: Tensor,
                    gamma: float, n_classes: int,
                    consistency: ConsistencyReport | None = None,
                    clamped: int = 0) -> tuple[Tensor, BatchLossReport]:
-    """gamma * (pseudo-supervised + consistency) + complementary, with the
-    decomposition recorded."""
+    """gamma * (pseudo-supervised + consistency) + complementary as one node
+    on the three terms, with the decomposition recorded."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    total = (loss_sup + reg_u) * gamma + loss_cl
+
+    def vjp(g):
+        scaled = g * gamma
+        return (scaled if loss_sup.requires_grad else None,
+                scaled if reg_u.requires_grad else None,
+                g if loss_cl.requires_grad else None)
+
+    total = node((loss_sup.data + reg_u.data) * gamma + loss_cl.data,
+                 (loss_sup, reg_u, loss_cl), vjp)
     report = BatchLossReport(
         loss_sup=float(loss_sup.data),
         reg_u=float(reg_u.data),

@@ -66,6 +66,8 @@ class PLDataset:
             raise ValueError("features/candidates row counts differ")
         if self.l < 3:
             raise ValueError("class count must be >= 3")
+        if 0 in self.feature_shape:
+            raise ValueError(f"feature shape {self.feature_shape} has a zero dimension")
         sizes = self.candidates.sum(axis=1)
         if np.any(sizes < 1) or np.any(sizes > self.l - 1):
             raise MaskInvariantError("candidate sets must satisfy 1 <= |C| <= l-1")
@@ -254,6 +256,8 @@ def read_dataset(path) -> PLDataset:
     (rank,) = struct.unpack("<I", chunk)
     chunk, off = _take(buf, off, 4 * rank)
     dims = struct.unpack(f"<{rank}I", chunk) if rank else ()
+    if 0 in dims:  # write_dataset refuses such a dataset too
+        raise DatasetFormatError(f"feature shape {dims} in the header has a 0")
     chunk, off = _take(buf, off, 4 * n * math.prod(dims))
     features = np.frombuffer(chunk, dtype="<f4").reshape((n, *dims)).copy()
     words_per_row = (l + 63) // 64

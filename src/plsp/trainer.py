@@ -7,8 +7,9 @@ confidence thresholds follow curriculum pseudo-labeling (classes producing
 fewer confident predictions get lower thresholds), clamped to
 [tau_floor, tau0].
 
-Each loop trains its ``params`` in place and returns one ``MetricsRecord``
-per epoch, the schema of the metrics files. Train and test F1 in a record
+Each loop trains its ``params`` in place. ``train_df_baseline`` and
+``train_ss`` return one ``MetricsRecord`` per epoch, the schema of the
+metrics files; ``pretrain`` records nothing. Train and test F1 in a record
 come from ``macro_micro_f1``.
 
 Both loops draw every mini-batch with a ``_Cycler``, without replacement: a
@@ -191,11 +192,11 @@ class _Cycler:
         return np.concatenate(out)
 
 
-def pretrain(ds: PLDataset, params: ClassifierParams,
-             config: TrainConfig) -> list[MetricsRecord]:
-    """Disambiguation-free stage: ``train_df_baseline`` for the config's
-    ``pretrain_epochs``, with no test set."""
-    return train_df_baseline(ds, params, config, config.pretrain_epochs)
+def pretrain(ds: PLDataset, params: ClassifierParams, config: TrainConfig) -> None:
+    """Disambiguation-free stage: the ``train_df_baseline`` epochs for the
+    config's ``pretrain_epochs``, recording nothing."""
+    for _ in _df_epochs(ds, params, config, config.pretrain_epochs):
+        pass
 
 
 def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
@@ -205,6 +206,16 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
     mini-batches, no augmentation, recording each epoch. Pre-training and the
     ablation reference for the full objective. A negative epoch count, and
     steps over no instance or batches of 0, raise ValueError."""
+    return [_epoch_record(t, params, ds, test_ds, start, config,
+                          loss_df=mean_loss, loss_total=mean_loss, clamped=clamped)
+            for t, (start, mean_loss, clamped)
+            in enumerate(_df_epochs(ds, params, config, epochs))]
+
+
+def _df_epochs(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
+               epochs: int):
+    """Train ``params`` in place for ``epochs`` disambiguation-free epochs,
+    yielding each epoch's start time, mean loss and clamp count."""
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if epochs > 0 and config.inner_iters and min(ds.n, config.batch_unlabeled) < 1:
@@ -213,8 +224,7 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
     x = ds.flat_features().astype(np.float64)
     rng = derive_rng(config.seed, _TAG_PRETRAIN)
     opt = SgdOptimizer(params.parameters(), config)
-    records: list[MetricsRecord] = []
-    for t in range(epochs):
+    for _ in range(epochs):
         start = time.perf_counter()
         cycler = _Cycler(np.arange(ds.n), rng)
         total = 0.0
@@ -227,11 +237,7 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
             opt.step()
             total += float(loss.data)
             clamped += batch_clamped
-        mean_loss = total / max(config.inner_iters, 1)
-        records.append(_epoch_record(t, params, ds, test_ds, start, config,
-                                     loss_df=mean_loss, loss_total=mean_loss,
-                                     clamped=clamped))
-    return records
+        yield start, total / max(config.inner_iters, 1), clamped
 
 
 def _epoch_record(epoch: int, params: ClassifierParams, ds: PLDataset,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plsp.augment import (AugmentSpec, _augment_images, derive_rng, strong,
-                          strong_batch, weak, weak_batch)
+from plsp.augment import (AugmentSpec, _augment_images, derive_rng, strong_batch,
+                          weak_batch)
 
 
 # -- per-image reference loop, fed explicit draws --
@@ -85,15 +85,6 @@ def test_image_batches_draw_flips_offsets_centres_in_order():
     offsets = replay.integers(0, 5, size=(6, 2))
     assert np.array_equal(out, _oracle(xs, 2, flips, offsets, 0, centres))
     assert rng.bit_generator.state == replay.bit_generator.state
-
-
-def test_single_image_is_a_batch_of_one():
-    x = np.random.default_rng(3).standard_normal((6, 5, 2))
-    spec = AugmentSpec(pad=1, cutout_size=2)
-    assert np.array_equal(strong(x, spec, derive_rng(4, 1)),
-                          strong_batch(x[None], spec, derive_rng(4, 1))[0])
-    assert np.array_equal(weak(x[..., 0], spec, derive_rng(4, 2)),
-                          weak_batch(x[None, ..., 0], spec, derive_rng(4, 2))[0])
 
 
 # -- distribution of the image draws, read back from the outputs --
@@ -182,8 +173,10 @@ def test_flat_path_output_pinned():
     strong_out = strong_batch(xs, AugmentSpec(), derive_rng(3, 5))
     assert _digest(weak_out) == "7af18aa3bc1a956a"
     assert _digest(strong_out) == "a103e2028c7d9e45"
-    assert _digest(weak(xs[0], AugmentSpec(), derive_rng(3, 6))) == "26fe562eefe87c15"
-    assert _digest(strong(xs[0], AugmentSpec(), derive_rng(3, 7))) == "4373c86edae7d131"
+    assert _digest(weak_batch(xs[:1], AugmentSpec(), derive_rng(3, 6))[0]) \
+        == "26fe562eefe87c15"
+    assert _digest(strong_batch(xs[:1], AugmentSpec(), derive_rng(3, 7))[0]) \
+        == "4373c86edae7d131"
     assert weak_out[0, :3].tolist() == [-0.8187637172684501, -1.2563955979950523,
                                         -0.12257798257873628]
     assert strong_out[0, :3].tolist() == [-0.782023893908012, -1.3322241904531487,
@@ -193,7 +186,7 @@ def test_flat_path_output_pinned():
 def test_identity_configuration_image():
     img = np.arange(24, dtype=np.float64).reshape(4, 3, 2)
     spec = AugmentSpec(flip_prob=0.0, pad=0)
-    out = weak(img, spec, np.random.default_rng(0))
+    out = weak_batch(img[None], spec, np.random.default_rng(0))[0]
     assert np.array_equal(out, img)
 
 
@@ -201,13 +194,14 @@ def test_weak_shape_preserved():
     rng = np.random.default_rng(1)
     for shape in [(8, 8, 1), (5, 7, 3), (16,)]:
         x = rng.standard_normal(shape)
-        assert weak(x, AugmentSpec(), derive_rng(0, 1)).shape == shape
-        assert strong(x, AugmentSpec(cutout_size=2), derive_rng(0, 2)).shape == shape
+        assert weak_batch(x[None], AugmentSpec(), derive_rng(0, 1))[0].shape == shape
+        assert strong_batch(x[None], AugmentSpec(cutout_size=2),
+                            derive_rng(0, 2))[0].shape == shape
 
 
 def test_constant_image_stays_constant_up_to_padding():
     img = np.full((6, 6, 1), 3.5)
-    out = weak(img, AugmentSpec(pad=2), np.random.default_rng(3))
+    out = weak_batch(img[None], AugmentSpec(pad=2), np.random.default_rng(3))[0]
     assert set(np.unique(out)) <= {0.0, 3.5}
 
 
@@ -216,8 +210,8 @@ def test_cutout_zeroes_exact_square_when_inside():
     size = 4
     found_exact = False
     for seed in range(60):
-        out = strong(img, AugmentSpec(flip_prob=0.0, pad=0, cutout_size=size),
-                     np.random.default_rng(seed))
+        out = strong_batch(img[None], AugmentSpec(flip_prob=0.0, pad=0, cutout_size=size),
+                           np.random.default_rng(seed))[0]
         zeros = int((out == 0).sum())
         assert zeros <= size * size
         ys, xs, _ = np.nonzero(out == 0)
@@ -232,12 +226,13 @@ def test_strong_with_randomness_off_equals_weak():
     img = np.arange(48, dtype=np.float64).reshape(4, 4, 3)
     spec = AugmentSpec(flip_prob=0.0, pad=0, cutout_size=0)
     rng1, rng2 = np.random.default_rng(0), np.random.default_rng(0)
-    assert np.array_equal(strong(img, spec, rng1), weak(img, spec, rng2))
+    assert np.array_equal(strong_batch(img[None], spec, rng1)[0],
+                          weak_batch(img[None], spec, rng2)[0])
     vec = np.linspace(-1, 1, 9)
     spec = AugmentSpec(weak_jitter=0.0, strong_jitter=0.0, mask_prob=0.0)
-    assert np.array_equal(strong(vec, spec, np.random.default_rng(1)),
-                          weak(vec, spec, np.random.default_rng(1)))
-    assert np.array_equal(weak(vec, spec, np.random.default_rng(2)), vec)
+    assert np.array_equal(strong_batch(vec[None], spec, np.random.default_rng(1))[0],
+                          weak_batch(vec[None], spec, np.random.default_rng(1))[0])
+    assert np.array_equal(weak_batch(vec[None], spec, np.random.default_rng(2))[0], vec)
 
 
 def test_vector_mask_fraction_binomial():
@@ -254,19 +249,19 @@ def test_vector_mask_fraction_binomial():
 def test_determinism_same_seed_same_output():
     x = np.random.default_rng(0).standard_normal((6, 6, 2))
     spec = AugmentSpec(cutout_size=2)
-    a = strong(x, spec, derive_rng(42, 1, 2, 3))
-    b = strong(x, spec, derive_rng(42, 1, 2, 3))
+    a = strong_batch(x[None], spec, derive_rng(42, 1, 2, 3))[0]
+    b = strong_batch(x[None], spec, derive_rng(42, 1, 2, 3))[0]
     assert np.array_equal(a, b)
     v = np.random.default_rng(1).standard_normal(10)
-    a = weak(v, AugmentSpec(), derive_rng(7, 0))
-    b = weak(v, AugmentSpec(), derive_rng(7, 0))
+    a = weak_batch(v[None], AugmentSpec(), derive_rng(7, 0))[0]
+    b = weak_batch(v[None], AugmentSpec(), derive_rng(7, 0))[0]
     assert np.array_equal(a, b)
 
 
 def test_weak_strong_substreams_independent():
     v = np.zeros(50)
-    xw = weak(v, AugmentSpec(), derive_rng(11, 1, 0, 0))
-    xs = strong(v, AugmentSpec(), derive_rng(11, 2, 0, 0))
+    xw = weak_batch(v[None], AugmentSpec(), derive_rng(11, 1, 0, 0))[0]
+    xs = strong_batch(v[None], AugmentSpec(), derive_rng(11, 2, 0, 0))[0]
     assert not np.allclose(xw, xs)
 
 
@@ -286,5 +281,5 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=next(iter(bad))):
             AugmentSpec(**bad)
     with pytest.raises(ValueError):
-        strong(np.ones((4, 4, 1)), AugmentSpec(flip_prob=0.0, pad=0, cutout_size=9),
-               np.random.default_rng(0))
+        strong_batch(np.ones((1, 4, 4, 1)), AugmentSpec(flip_prob=0.0, pad=0, cutout_size=9),
+                     np.random.default_rng(0))

@@ -751,6 +751,27 @@ def test_cli_exit_3_on_dataset_breaking_its_framing(eval_files, tmp_path, capsys
     capsys.readouterr()
 
 
+def _zero_width_dataset(dims: tuple[int, ...]) -> bytes:
+    """A well-framed .plsp of 30 rows, 3 classes and feature shape ``dims``
+    with a zero in it, so the features take no bytes; every candidate set is
+    {0} and no truth is stored."""
+    n, l = 30, 3
+    return (b"PLSP" + struct.pack("<HHQI", 1, 0, n, l)
+            + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+            + np.ones(n, dtype="<u8").tobytes())
+
+
+@pytest.mark.parametrize("dims", [(0,), (0, 4, 1), (4, 0, 1)])
+def test_cli_exit_3_on_zero_feature_dimension(tmp_path, capsys, dims):
+    data = tmp_path / "d.plsp"
+    data.write_bytes(_zero_width_dataset(dims))
+    assert _run(["train", "--data", str(data), "--out", str(tmp_path / "o.plsw"),
+                 "--metrics", str(tmp_path / "m.jsonl"), "--pretrain-epochs", "1",
+                 "--ss-epochs", "1", "--inner-iters", "1"]) == 3
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["code"] == 3
+    assert not (tmp_path / "o.plsw").exists() and not (tmp_path / "m.jsonl").exists()
+
+
 def _two_class_dataset() -> bytes:
     """A well-framed .plsp whose header says l = 2: four 2-d rows, each with
     the candidate set {0}."""

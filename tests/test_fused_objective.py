@@ -6,23 +6,27 @@ here only as an oracle: the library computes every term from one stacked
 forward with per-row covariance selection.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from refgraph import Ref, lift
 
 from plsp import objective
 from plsp.model import extract_features, init_classifier, snapshot_frozen
-from plsp.objective import (LOG_EPS, assemble_batch, semantic_batch_loss,
+from plsp.objective import (LOG_EPS, assemble_batch, loss_df, semantic_batch_loss,
                             weak_cav_pseudo_labels)
 from plsp.pldata import generate_fps, generate_uss, make_blobs
 from plsp.semstats import ClassCovStats, probit_weak_probs, update_cov_stats
-from plsp.tensorcore import Tensor, gradients
+from plsp.tensorcore import Tensor, gradients, node
 from plsp.trainer import TrainConfig, new_classifier, train_df_baseline, train_ss
 
 
 # -- per-class reference -------------------------------------------------------
 
 def _ref_quadratic_form(head, cov):
-    hc = head @ Tensor(cov)
+    hc = head @ Ref(cov)
     s = hc @ head.T
     d = (head * hc).sum(axis=1, keepdims=True)
     return d + d.T - s - s.T
@@ -46,16 +50,16 @@ def _ref_sum(pieces):
 
 def _ref_loss_sup(params, stats, x, y, lam):
     if len(y) == 0:
-        return Tensor(0.0), 0
+        return Ref(0.0), 0
     l = params.n_classes
     pieces, clamped = [], 0
     for cls in np.unique(y):
         grp = np.flatnonzero(y == cls)
-        z = extract_features(params, x[grp]) @ params.head.T
+        z = lift(extract_features(params, x[grp])) @ lift(params.head).T
         col = np.zeros((l, 1))
         col[cls, 0] = 1.0
-        quad = _ref_quadratic_form(params.head, stats.cov(cls))
-        shift_col = ((quad @ Tensor(col)) * (0.5 * lam)).reshape(l)
+        quad = _ref_quadratic_form(lift(params.head), stats.cov(cls))
+        shift_col = ((quad @ Ref(col)) * (0.5 * lam)).reshape(l)
         onehot = np.zeros((grp.size, l))
         onehot[:, cls] = 1.0
         log_p = (z * onehot).sum(axis=1) - (z + shift_col).logsumexp(axis=1)
@@ -90,11 +94,12 @@ def _ref_reg(params, frozen, stats, x_weak, x_strong, candidates, lam, tau,
         if not np.any(weights[grp]):
             continue
         log_ps = _ref_shifted_log_probs(
-            params.head, extract_features(params, x_strong[grp]), stats.cov(cls), lam)
+            lift(params.head), lift(extract_features(params, x_strong[grp])),
+            stats.cov(cls), lam)
         w = weights[grp]
         clamped += int(np.sum((log_ps.data < LOG_EPS) & (w > 0)))
         pieces.append((log_ps.maximum(LOG_EPS) * w).sum())
-    value = (Tensor(entropy) - _ref_sum(pieces)) / batch if pieces else Tensor(0.0)
+    value = (Ref(entropy) - _ref_sum(pieces)) / batch if pieces else Ref(0.0)
     report = objective.ConsistencyReport(
         value=float(value.data),
         sigma_inc=np.bincount(sem[h], minlength=l).astype(np.int64),
@@ -109,7 +114,8 @@ def _ref_loss_cl(params, stats, x, candidates, sem, lam):
     for cls in np.unique(sem):
         grp = np.flatnonzero(sem == cls)
         log_ps = _ref_shifted_log_probs(
-            params.head, extract_features(params, x[grp]), stats.cov(cls), lam)
+            lift(params.head), lift(extract_features(params, x[grp])),
+            stats.cov(cls), lam)
         one_minus = 1.0 - log_ps.exp()
         mask = non_candidates[grp]
         clamped += int(np.sum((one_minus.data < 1e-12) & (mask > 0)))
@@ -127,7 +133,7 @@ def _ref_step(params, frozen, stats, x_lab, y_lab, x_unl, x_w, x_s, cands,
                                     lam, tau, beta, sem)
         loss_cl, cl_clamped = _ref_loss_cl(params, stats, x_unl, cands, sem, lam)
     else:
-        reg, loss_cl, cl_clamped = Tensor(0.0), Tensor(0.0), 0
+        reg, loss_cl, cl_clamped = Ref(0.0), Ref(0.0), 0
     return assemble_batch(loss_sup, reg, loss_cl, gamma, params.n_classes,
                           consistency, clamped=sup_clamped + cl_clamped)
 
@@ -243,21 +249,22 @@ def test_fused_step_raises_on_non_finite_weights():
         semantic_batch_loss(params, *rest)
 
 
-# -- the objective node against its Tensor chain ----------------------------------
+# -- the objective node against its op chain --------------------------------------
 
 def _ref_kernel(params, stats, lam, x, classes, sup_w, reg_w, cl_w,
                 reg_entropy, gamma):
-    """The objective tail as the chain of Tensor ops it was first written as,
-    after the shifted log-softmax node. Returns the total and the clamp
-    counts below LOG_EPS and of 1 - p below 1e-12."""
+    """The objective tail as the chain of ops it was first written as, after
+    the shifted log-softmax node. Returns the total and the clamp counts
+    below LOG_EPS and of 1 - p below 1e-12."""
     feats = extract_features(params, x)
-    log_ps = objective._node(feats, params.head, *objective._shifted_log_softmax_np(
-        params.head.data, feats.data, stats.covs, classes, lam))
+    log_p, vjp = objective._shifted_log_softmax(feats, params.head, stats.covs,
+                                                classes, lam)
+    log_ps = lift(node(log_p, (feats, params.head), vjp))
     safe = log_ps.maximum(LOG_EPS)
     one_minus = 1.0 - log_ps.exp()
     log_rest = one_minus.maximum(1e-12).log()
-    total = (safe * Tensor(-gamma * (sup_w + reg_w))
-             + log_rest * Tensor(-cl_w)).sum() + gamma * reg_entropy
+    total = (safe * Ref(-gamma * (sup_w + reg_w))
+             + log_rest * Ref(-cl_w)).sum() + gamma * reg_entropy
     low = int(np.sum((log_ps.data < LOG_EPS) & ((sup_w > 0) | (reg_w > 0))))
     high = int(np.sum((one_minus.data < 1e-12) & (cl_w > 0)))
     return total, low, high
@@ -372,3 +379,32 @@ def test_df_step_graph_is_one_loss_node(monkeypatch):
     # the loss node, a node per hidden layer, their weights and biases, the
     # head and the input, at any class count
     assert four == ten == {1 + 2 + 4 + 1 + 1}
+
+
+@pytest.mark.parametrize("step", ["semantic", "df"])
+def test_spent_step_graph_is_freed_by_reference_counting(step):
+    """One training step's graph of hand-written nodes, probed as in
+    ``test_tensorcore``: a vjp that held its own node would make the graph a
+    cycle, which only the cyclic collector (disabled here) would free."""
+    params, _, *rest = _batch(4, 6, 9, seed=500)
+    x_unl, cands = rest[3], rest[6]
+    gc.disable()
+    try:
+        if step == "semantic":
+            total, _ = semantic_batch_loss(params, *rest)
+        else:
+            total, _ = loss_df(params, x_unl, cands)
+        interior, stack = [], [total]
+        while stack:
+            t = stack.pop()
+            if t._parents:
+                interior.append(weakref.ref(t))
+                stack.extend(t._parents)
+        total.backward()
+        del total, t, stack
+        # the loss node and one node per hidden layer
+        assert len(interior) == 3
+        assert all(probe() is None for probe in interior)
+        assert all(p.grad is not None for p in params.parameters())
+    finally:
+        gc.enable()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from refgraph import Ref, lift
 
 from plsp.model import (ClassifierParams, _dense_relu, extract_features,
                         init_classifier, load_checkpoint, save_checkpoint,
@@ -39,12 +40,12 @@ def test_feature_gradient_matches_finite_differences():
         saved = [p.data.copy() for p in params.parameters()]
         for p, a in zip(params.parameters(), arrays):
             p.data = a.copy()
-        out = float(extract_features(params, x).sum().data)
+        out = float(lift(extract_features(params, x)).sum().data)
         for p, s in zip(params.parameters(), saved):
             p.data = s
         return out
 
-    loss = extract_features(params, x).sum()
+    loss = lift(extract_features(params, x)).sum()
     analytic = gradients(loss, params.parameters())
     arrays = [p.data.copy() for p in params.parameters()]
     h = 1e-5
@@ -73,10 +74,10 @@ def test_dense_relu_matches_three_node_chain(input_grad):
     up = rng.standard_normal((7, 4))
     outs = []
     for layer in (lambda a, w, b: (a @ w + b).relu(), _dense_relu):
-        a, w, b = (Tensor(v.copy(), requires_grad=g)
+        a, w, b = (Ref(v.copy(), requires_grad=g)
                    for v, g in ((a0, input_grad), (w0, True), (b0, True)))
         out = layer(a, w, b)
-        (out * up).sum().backward()
+        (lift(out) * up).sum().backward()
         outs.append([out.data, w.grad, b.grad, a.grad])
     chain, fused = outs
     for x, y in zip(chain[:3], fused[:3]):
@@ -130,8 +131,8 @@ def test_snapshot_is_gradient_opaque():
     x = rng.standard_normal((2, 3))
     # loss mixes live outputs with frozen-derived constants
     target = frozen.probs(x)
-    feats = extract_features(params, x)
-    z = feats @ params.head.T
+    feats = lift(extract_features(params, x))
+    z = feats @ lift(params.head).T
     logp = z - z.logsumexp(axis=1, keepdims=True)
     loss = -(logp * target).sum()
     grads_a = [g.copy() for g in gradients(loss, params.parameters())]
@@ -139,8 +140,8 @@ def test_snapshot_is_gradient_opaque():
     frozen.head += 100.0
     for w, b in frozen.layers:
         w += 100.0
-    feats = extract_features(params, x)
-    z = feats @ params.head.T
+    feats = lift(extract_features(params, x))
+    z = feats @ lift(params.head).T
     logp = z - z.logsumexp(axis=1, keepdims=True)
     loss = -(logp * target).sum()
     grads_b = gradients(loss, params.parameters())

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from refgraph import Ref, lift
 
 from plsp.model import (ClassifierParams, extract_features, init_classifier,
                         snapshot_frozen)
@@ -79,10 +80,10 @@ def test_loss_df_clamps_and_reports():
 
 
 def _loss_df_op_chain(params, x, candidates):
-    """``loss_df`` as a chain of Tensor ops, as it was first written; the
+    """``loss_df`` as a chain of ops, as it was first written; the
     oracle for the one-node version."""
     candidates = np.asarray(candidates, dtype=bool)
-    z = extract_features(params, x) @ params.head.T
+    z = lift(extract_features(params, x)) @ lift(params.head).T
     log_probs = z - z.logsumexp(axis=1, keepdims=True)
     weights = candidates / candidates.sum(axis=1, keepdims=True)
     clamped = int(np.sum((log_probs.data < LOG_EPS) & candidates))
@@ -542,6 +543,22 @@ def test_decomposition_reassembles():
     assert all(np.isfinite(v) for v in
                (float(ls.data), float(ru.data), float(lcl.data)))
     assert float(ls.data) >= 0 and float(ru.data) >= -1e-12 and float(lcl.data) >= 0
+
+
+def test_assemble_batch_node_matches_op_chain_bitwise():
+    values, gamma = (0.4, 0.3, 0.2), 0.37
+    ls, ru, lcl = (Tensor(v, requires_grad=True) for v in values)
+    total, _ = assemble_batch(ls, ru, lcl, gamma, 3)
+    refs = [Ref(v, requires_grad=True) for v in values]
+    chain = (refs[0] + refs[1]) * gamma + refs[2]
+    assert np.array_equal(total.data, chain.data)
+    for got, ref in zip(gradients(total, [ls, ru, lcl]), gradients(chain, refs)):
+        assert np.array_equal(got, ref)
+    # a constant term takes no gradient
+    const = Tensor(0.3)
+    total, _ = assemble_batch(ls, const, lcl, gamma, 3)
+    total.backward()
+    assert const.grad is None
 
 
 def test_assemble_batch_report_fields():

@@ -373,6 +373,14 @@ def test_write_rejects_invalid_dataset(tmp_path):
         write_dataset(tmp_path / "bad.plsp", ds)
 
 
+def test_write_rejects_a_zero_feature_dimension(tmp_path):
+    ds = _tiny_dataset()
+    ds.features = np.zeros((ds.n, 0), dtype=np.float32)
+    with pytest.raises(ValueError, match="zero dimension"):
+        write_dataset(tmp_path / "bad.plsp", ds)
+    assert not (tmp_path / "bad.plsp").exists()
+
+
 def test_serialization_bijective_on_random_datasets(tmp_path):
     rng = np.random.default_rng(97)
     for trial in range(15):

@@ -1,10 +1,16 @@
+"""The reverse pass, ``gradients``, ``softmax`` and SGD of ``plsp.tensorcore``,
+and the general ops of the tests' oracle graph (``refgraph``) that run on
+that reverse pass."""
+
 import gc
 import weakref
 
 import numpy as np
 import pytest
+from refgraph import Ref
 
-from plsp.tensorcore import NoGradientError, SgdOptimizer, Tensor, gradients, softmax
+from plsp.tensorcore import (NoGradientError, SgdOptimizer, Tensor, gradients, node,
+                             softmax)
 from plsp.trainer import TrainConfig
 
 
@@ -37,14 +43,14 @@ def rel_err(a, b):
 
 
 def test_square_sum_gradient():
-    w = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    w = Ref(np.array([[1.0, 2.0]]), requires_grad=True)
     loss = (w * w).sum()
     loss.backward()
     assert np.allclose(w.grad, [[2.0, 4.0]])
 
 
 def test_gradient_zero_for_unused_parameter():
-    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = Ref(np.array([1.0, 2.0]), requires_grad=True)
     unused = Tensor(np.array([3.0]), requires_grad=True)
     loss = (w * w).sum()
     grads = gradients(loss, [w, unused])
@@ -53,13 +59,13 @@ def test_gradient_zero_for_unused_parameter():
 
 def test_detached_parameter_raises():
     w = Tensor(np.array([1.0]), requires_grad=False)
-    loss = Tensor(np.array([1.0]), requires_grad=True).sum()
+    loss = Ref(np.array([1.0]), requires_grad=True).sum()
     with pytest.raises(NoGradientError):
         gradients(loss, [w])
 
 
 def test_backward_requires_scalar_root():
-    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = Ref(np.array([1.0, 2.0]), requires_grad=True)
     with pytest.raises(ValueError):
         (w * w).backward()
 
@@ -71,7 +77,7 @@ def _composite_loss(tensors):
     h = (a @ w + bias).relu()
     z = h @ b.T
     shifted = z - z.logsumexp(axis=1, keepdims=True)
-    quad = (b * (b @ Tensor(np.eye(b.data.shape[1])))).sum(axis=1, keepdims=True)
+    quad = (b * (b @ Ref(np.eye(b.data.shape[1])))).sum(axis=1, keepdims=True)
     mixed = shifted + (quad + quad.T * 0.5).logsumexp(axis=0)
     return (mixed.exp().maximum(1e-3).log() * 0.25).sum()
 
@@ -84,10 +90,10 @@ def test_gradcheck_composites_100_draws():
         arrays = [rng.standard_normal(s) for s in shapes]
 
         def value(arrs):
-            ts = [Tensor(x) for x in arrs]
+            ts = [Ref(x) for x in arrs]
             return float(_composite_loss(ts).data)
 
-        tensors = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+        tensors = [Ref(x.copy(), requires_grad=True) for x in arrays]
         loss = _composite_loss(tensors)
         analytic = gradients(loss, tensors)
         numeric = finite_diff(value, arrays)
@@ -97,10 +103,10 @@ def test_gradcheck_composites_100_draws():
 
 
 def test_spent_graph_is_freed_by_reference_counting():
-    # a backward closure that refers back to its own node makes the graph a
-    # cycle, which only the cyclic collector (disabled here) would free
+    # a vjp that refers back to its own node makes the graph a cycle, which
+    # only the cyclic collector (disabled here) would free
     rng = np.random.default_rng(3)
-    tensors = [Tensor(rng.standard_normal(s), requires_grad=True)
+    tensors = [Ref(rng.standard_normal(s), requires_grad=True)
                for s in [(3, 4), (5, 2), (4, 2), (2,)]]
     gc.disable()
     try:
@@ -118,6 +124,25 @@ def test_spent_graph_is_freed_by_reference_counting():
         assert all(t.grad is not None for t in tensors)
     finally:
         gc.enable()
+
+
+def test_node_asks_no_gradient_of_a_constant_parent():
+    a = Tensor(np.array([1.0, 2.0]))
+    w = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    calls = []
+
+    def vjp(g):
+        calls.append(float(g))
+        return None, g * a.data
+
+    out = node(a.data @ w.data, (a, w), vjp)
+    out.backward()
+    assert calls == [1.0]
+    assert a.grad is None
+    assert np.array_equal(w.grad, [1.0, 2.0])
+    # over constants only, the node is a constant with no parent to visit
+    const = node(a.data.sum(), (a,), vjp)
+    assert not const.requires_grad and const._parents == ()
 
 
 def test_softmax_rows_sum_to_one():
@@ -191,7 +216,7 @@ def test_sgd_config_validation():
 
 def test_matmul_requires_rank_two():
     with pytest.raises(ValueError):
-        Tensor(np.ones(3)) @ Tensor(np.ones(3))
+        Ref(np.ones(3)) @ Ref(np.ones(3))
 
 
 def test_rank_cap():
@@ -202,8 +227,8 @@ def test_rank_cap():
 def test_first_gradient_is_copied_not_shared():
     """__add__'s backward hands one array to both parents; each leaf must own
     its gradient, so a later accumulation into one leaves the other alone."""
-    a = Tensor(np.ones((2, 3)), requires_grad=True)
-    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    a = Ref(np.ones((2, 3)), requires_grad=True)
+    b = Ref(np.ones((2, 3)), requires_grad=True)
     (a + b).sum().backward()
     (a * 2.0).sum().backward()  # accumulates into a.grad only
     assert np.array_equal(a.grad, np.full((2, 3), 3.0))

@@ -106,7 +106,7 @@ def test_pretrain_zero_epochs_is_identity():
     config = _tiny_config(pretrain_epochs=0)
     params = new_classifier(ds, config)
     before = [p.data.copy() for p in params.parameters()]
-    assert pretrain(ds, params, config) == []
+    assert pretrain(ds, params, config) is None
     for p, b in zip(params.parameters(), before):
         assert np.array_equal(p.data, b)
 
@@ -120,11 +120,15 @@ def test_pretrain_supervised_reduction_reaches_high_accuracy():
     config = _tiny_config(pretrain_epochs=10, inner_iters=20,
                           batch_unlabeled=64, learning_rate=0.1, seed=5)
     params = new_classifier(ds, config)
-    records = pretrain(ds, params, config)
+    baseline = params.clone()
+    assert pretrain(ds, params, config) is None
     acc = (params.predict(ds.flat_features()) == ds.truth).mean()
     assert acc >= 0.99
+    # the same epochs as the baseline loop, which records them as well
+    records = train_df_baseline(ds, baseline, config, config.pretrain_epochs)
     assert [r.epoch for r in records] == list(range(10))
-    assert records[-1].train_micro_f1 >= 0.99
+    for p, b in zip(params.parameters(), baseline.parameters()):
+        assert np.array_equal(p.data, b.data)
 
 
 def test_full_batch_descent_is_nonincreasing():
