@@ -16,7 +16,7 @@ from .semstats import (ClassCovStats, DEFAULT_BETA, probit_weak_probs,
                        update_cov_stats)
 from .objective import (BatchLossReport, PseudoSplit, build_pseudo_split,
                         cav_scores, loss_df, loss_complementary_semantic,
-                        loss_sup_semantic, mc_oracle_reg, pseudo_target,
+                        loss_sup_semantic, mc_oracle_reg,
                         reg_consistency_semantic, semantic_batch_loss)
 from .trainer import (MetricsRecord, TrainConfig, macro_micro_f1, pretrain,
                       schedule_gamma, schedule_lambda, train_ss, update_tau)
@@ -31,7 +31,7 @@ __all__ = [
     "shifted_softmax_probs", "std_normal_cdf", "update_cov_stats",
     "BatchLossReport", "PseudoSplit", "build_pseudo_split", "cav_scores",
     "loss_df", "loss_complementary_semantic", "loss_sup_semantic",
-    "mc_oracle_reg", "pseudo_target", "reg_consistency_semantic",
+    "mc_oracle_reg", "reg_consistency_semantic",
     "semantic_batch_loss",
     "TrainConfig", "pretrain", "schedule_gamma", "schedule_lambda", "train_ss",
     "update_tau",

@@ -19,8 +19,7 @@ import numpy as np
 from . import augment, pldata
 from .model import init_classifier, load_checkpoint, save_checkpoint, snapshot_frozen
 from .objective import (LOG_EPS, loss_complementary_semantic, loss_sup_semantic,
-                        mc_oracle_reg, pseudo_target, shifted_log_probs,
-                        weak_cav_pseudo_labels)
+                        mc_oracle_reg, shifted_log_probs)
 from .semstats import (BETA_PI_SQ_OVER_8, BETA_RELATIVE, BETA_SLOPE_MATCHED,
                        ClassCovStats, DEFAULT_BETA, probit_weak_probs,
                        shifted_softmax_probs, std_normal_cdf, update_cov_stats)
@@ -88,15 +87,10 @@ def check_bound_direction(seed: int, n_instances: int, n_samples: int) -> CheckR
         tau = np.full(frozen.n_classes, 0.75)
         est = mc_oracle_reg(params, frozen, stats, x_weak, x_strong, mask,
                             lam, tau, n_samples, rng)
-        sem = int(weak_cav_pseudo_labels(frozen, x_weak[None, :], mask[None, :])[0])
-        cov = stats.cov(sem)
-        p_w = probit_weak_probs(frozen.head, frozen.features(x_weak[None, :])[0],
-                                cov, lam)
-        target = pseudo_target(p_w, mask)
         a_s = params.eval_features(x_strong[None, :])[0]
-        p_s = shifted_softmax_probs(params.head.data, a_s, cov, lam)
-        closed_ce = float(-target @ np.maximum(np.log(np.maximum(p_s, 1e-300)),
-                                               LOG_EPS))
+        p_s = shifted_softmax_probs(params.head.data, a_s, stats.cov(est.sem_label), lam)
+        closed_ce = float(-est.target @ np.maximum(np.log(np.maximum(p_s, 1e-300)),
+                                                   LOG_EPS))
         slack = closed_ce - (est.strong_ce - 3.0 * est.strong_ce_se)
         min_slack = np.minimum(min_slack, slack)  # np.minimum keeps a NaN
         if not (np.isfinite(slack) and slack >= 0):
@@ -214,6 +208,8 @@ def run_verify(seed: int, n_instances: int, mc_samples: int, bound_samples: int,
         raise ValueError("need n_instances >= 1")
     if mc_samples < 1:
         raise ValueError("need mc_samples >= 1")
+    if bound_samples < 1:
+        raise ValueError("need bound_samples >= 1")
     out = out if out is not None else sys.stdout
     results = [
         check_bound_direction(seed, n_instances, bound_samples),

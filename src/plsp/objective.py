@@ -23,7 +23,8 @@ row blocks empty. The weak branch is one numpy forward of the live weights.
 The disambiguation-free loss (``loss_df``) is likewise one scalar node after
 the forward, so its step has the same 9 nodes. Every node here is made by
 ``tensorcore.node`` with a closed-form vjp; ``assemble_batch``, which sums
-the per-term losses, is one node on the three.
+the per-term losses, is one node on the three. The step, the consistency
+term and ``assemble_batch`` each report in a ``BatchLossReport``.
 
 Gradient flow: the weak branch (probabilities, semantic labels, pseudo
 targets) and the pseudo split are numpy forwards of the live weights with no
@@ -34,7 +35,7 @@ un-augmented log-probabilities carry gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,10 +46,6 @@ from .semstats import (ClassCovStats, DEFAULT_BETA, pairwise_quadratic,
 from .tensorcore import Tensor, node, softmax
 
 LOG_EPS = math.log(1e-12)
-
-
-class DegenerateMassError(ValueError):
-    """No candidate label carries probability mass."""
 
 
 @dataclass
@@ -76,24 +73,15 @@ class PseudoSplit:
 
 
 @dataclass
-class ConsistencyReport:
-    value: float
-    sigma_inc: np.ndarray      # per-class confident counts
-    h_pass_rate: float
-    skipped: int = 0           # degenerate-mass instances
-    clamped: int = 0           # log-clamp events
-
-
-@dataclass
 class BatchLossReport:
     loss_sup: float
     reg_u: float
     loss_cl: float
     total: float
-    sigma_inc: np.ndarray
+    sigma_inc: np.ndarray      # per-class confident counts
     h_pass_rate: float
-    skipped: int = 0
-    clamped: int = 0
+    skipped: int = 0           # degenerate-mass instances
+    clamped: int = 0           # log-clamp events
 
 
 def cav_scores(z: np.ndarray) -> np.ndarray:
@@ -171,16 +159,6 @@ def loss_df(params: ClassifierParams, x: np.ndarray,
     return node(value, (feats, params.head), vjp), clamped
 
 
-def pseudo_target(p_weak: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Renormalize a weak-branch distribution over the candidate set."""
-    p_weak = np.asarray(p_weak, dtype=np.float64)
-    masked = np.where(candidates, p_weak, 0.0)
-    mass = masked.sum()
-    if mass <= 0.0:
-        raise DegenerateMassError("candidate set carries zero probability mass")
-    return masked / mass
-
-
 # -- the semantic objective kernel --------------------------------------------
 
 def _shifted_log_softmax(feats: Tensor, head: Tensor, covs: np.ndarray,
@@ -256,13 +234,10 @@ def _objective_kernel(params: ClassifierParams, stats: ClassCovStats, lam: float
     node on (feats, head) whose backward is written out: d total / d log p is
     -gamma * (sup_w + reg_w) where log p > LOG_EPS plus cl_w * p / (1 - p)
     where 1 - p > 1e-12, then the shifted log-softmax backward. Returns the
-    total, the three term values and the clamp count.
+    total, the three term values and the clamp count. Zero rows give a zero
+    total whose backward gives zero gradients.
     """
-    rows = [np.asarray(b, dtype=np.float64).reshape(len(b), -1)
-            for b in blocks if len(b)]
-    if not rows:
-        return Tensor(0.0), (0.0, 0.0, 0.0), 0
-    feats = extract_features(params, np.concatenate(rows))
+    feats = extract_features(params, np.concatenate(blocks))
     log_ps, vjp = _shifted_log_softmax(feats, params.head, stats.covs, classes, lam)
     # np.maximum, not a mask: a NaN log-probability stays NaN in the total
     safe = np.maximum(log_ps, LOG_EPS)
@@ -287,26 +262,22 @@ def _objective_kernel(params: ClassifierParams, stats: ClassCovStats, lam: float
 
 
 def _weak_branch(feats: np.ndarray, head: np.ndarray, stats: ClassCovStats,
-                 candidates: np.ndarray, lam: float, tau: np.ndarray,
-                 beta: float, sem_labels: np.ndarray | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray, float, ConsistencyReport]:
+                 candidates: np.ndarray, lam: float, tau: np.ndarray, beta: float,
+                 ) -> tuple[np.ndarray, np.ndarray, float, BatchLossReport]:
     """The weak side of the consistency term, pure numpy.
 
     From the weak rows' features and the head array: the weak-view semantic
-    labels (when not supplied) and the probit expected softmax, each row at
-    its own class's covariance. Returns the semantic labels, the gated pseudo
-    targets, their summed entropy and the report (value and clamps unset).
+    labels (the candidate-restricted activation-value argmax) and the probit
+    expected softmax, each row at its own class's covariance. Returns the
+    semantic labels, the gated pseudo targets, their summed entropy and a
+    report holding the gate counts (``sigma_inc``, ``h_pass_rate``,
+    ``skipped``), whose losses and clamp count the caller fills in.
     """
     batch = len(feats)
     n_classes = head.shape[0]
-    if batch == 0:
-        return (np.zeros(0, dtype=np.int64), np.zeros((0, n_classes)), 0.0,
-                ConsistencyReport(0.0, np.zeros(n_classes, dtype=np.int64), 0.0))
     candidates = np.asarray(candidates, dtype=bool)
-    if sem_labels is None:
-        sem_labels = masked_argmax(cav_scores(feats @ head.T), candidates)
-    p_weak = probit_weak_probs(head, feats, stats.covs, lam, beta,
-                               classes=sem_labels)
+    sem = masked_argmax(cav_scores(feats @ head.T), candidates)
+    p_weak = probit_weak_probs(head, feats, stats.covs, lam, beta, classes=sem)
 
     tau = np.asarray(tau, dtype=np.float64)
     rows = np.arange(batch)
@@ -321,13 +292,13 @@ def _weak_branch(feats: np.ndarray, head: np.ndarray, stats: ClassCovStats,
     weights = targets * (h & valid)[:, None]
     entropy = float(np.sum(np.where(weights > 0, weights * np.log(
         targets, out=np.zeros_like(targets), where=targets > 0), 0.0)))
-    report = ConsistencyReport(
-        value=0.0,
-        sigma_inc=np.bincount(sem_labels[h], minlength=n_classes).astype(np.int64),
-        h_pass_rate=float(h.mean()),
+    report = BatchLossReport(
+        loss_sup=0.0, reg_u=0.0, loss_cl=0.0, total=0.0,
+        sigma_inc=np.bincount(sem[h], minlength=n_classes).astype(np.int64),
+        h_pass_rate=float(h.sum() / max(batch, 1)),
         skipped=int(np.sum(~valid)),
     )
-    return sem_labels, weights, entropy, report
+    return sem, weights, entropy, report
 
 
 def semantic_batch_loss(params: ClassifierParams, stats: ClassCovStats,
@@ -343,15 +314,17 @@ def semantic_batch_loss(params: ClassifierParams, stats: ClassCovStats,
     the weak-view semantic label for the other two blocks. ``candidates``
     belong to the unlabeled rows, which ``x_unl``, ``x_weak`` and
     ``x_strong`` hold in the same order. The weak branch is a numpy forward
-    of the live weights. Values equal ``assemble_batch`` over the three
-    per-term functions given a frozen copy of ``params``.
+    of the live weights; its gate counts fill the returned report beside the
+    three term values, the total and the clamp count. Values equal
+    ``assemble_batch`` over the three per-term functions given a frozen copy
+    of ``params``.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     candidates = np.asarray(candidates, dtype=bool)
     y_lab = np.asarray(y_lab, dtype=np.int64)
     n_lab, n_unl = len(y_lab), len(x_unl)
-    sem, weights, entropy, consistency = _weak_branch(
+    sem, weights, entropy, report = _weak_branch(
         params.eval_features(x_weak), params.head.data, stats, candidates,
         lam, tau, beta)
     l = params.n_classes
@@ -359,14 +332,11 @@ def semantic_batch_loss(params: ClassifierParams, stats: ClassCovStats,
     sup_w[np.arange(n_lab), y_lab] = 1.0 / max(n_lab, 1)
     cl_w[n_lab:n_lab + n_unl] = ~candidates / max(n_unl, 1)
     reg_w[n_lab + n_unl:] = weights / max(n_unl, 1)
-    total, (loss_sup, reg_u, loss_cl), clamped = _objective_kernel(
-        params, stats, lam, [x_lab, x_unl, x_strong],
-        np.concatenate([y_lab, sem, sem]), sup_w, reg_w, cl_w,
-        entropy / max(n_unl, 1), gamma)
-    report = BatchLossReport(
-        loss_sup=loss_sup, reg_u=reg_u, loss_cl=loss_cl, total=float(total.data),
-        sigma_inc=consistency.sigma_inc, h_pass_rate=consistency.h_pass_rate,
-        skipped=consistency.skipped, clamped=clamped)
+    total, (report.loss_sup, report.reg_u, report.loss_cl), report.clamped = \
+        _objective_kernel(params, stats, lam, [x_lab, x_unl, x_strong],
+                          np.concatenate([y_lab, sem, sem]), sup_w, reg_w, cl_w,
+                          entropy / max(n_unl, 1), gamma)
+    report.total = float(total.data)
     return total, report
 
 
@@ -388,24 +358,23 @@ def reg_consistency_semantic(params: ClassifierParams, frozen: FrozenClassifier,
                              x_strong: np.ndarray, candidates: np.ndarray,
                              lam: float, tau: np.ndarray,
                              beta: float = DEFAULT_BETA,
-                             sem_labels: np.ndarray | None = None,
-                             ) -> tuple[Tensor, ConsistencyReport]:
+                             ) -> tuple[Tensor, BatchLossReport]:
     """Confidence-gated KL between the frozen weak-branch target and the live
     strong-branch shifted softmax, averaged over the whole mini-batch.
 
-    The weak side (closed-form expected softmax, pseudo target, gate h) is
-    pure numpy under the frozen snapshot; gradients reach only the strong
-    branch. Returns the loss tensor and per-class confident counts.
+    The weak side (semantic labels, closed-form expected softmax, pseudo
+    target, gate h) is pure numpy under the frozen snapshot; gradients reach
+    only the strong branch. Returns the loss tensor and a report whose
+    ``reg_u`` and ``total`` are the loss, beside the gate counts and clamps.
     """
     batch = len(x_strong)
     sem, weights, entropy, report = _weak_branch(
-        frozen.features(x_weak), frozen.head, stats, candidates, lam, tau,
-        beta, sem_labels)
+        frozen.features(x_weak), frozen.head, stats, candidates, lam, tau, beta)
     zero = np.zeros_like(weights)
     value, _, report.clamped = _objective_kernel(
         params, stats, lam, [x_strong], sem, zero, weights / max(batch, 1),
         zero, entropy / max(batch, 1), 1.0)
-    report.value = float(value.data)
+    report.reg_u = report.total = float(value.data)
     return value, report
 
 
@@ -426,10 +395,12 @@ def loss_complementary_semantic(params: ClassifierParams, stats: ClassCovStats,
 
 def assemble_batch(loss_sup: Tensor, reg_u: Tensor, loss_cl: Tensor,
                    gamma: float, n_classes: int,
-                   consistency: ConsistencyReport | None = None,
+                   consistency: BatchLossReport | None = None,
                    clamped: int = 0) -> tuple[Tensor, BatchLossReport]:
     """gamma * (pseudo-supervised + consistency) + complementary as one node
-    on the three terms, with the decomposition recorded."""
+    on the three terms, with the decomposition recorded. The gate counts and
+    the consistency term's clamps come from ``consistency``, the report of
+    ``reg_consistency_semantic``; ``clamped`` counts the other two terms'."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
 
@@ -441,17 +412,12 @@ def assemble_batch(loss_sup: Tensor, reg_u: Tensor, loss_cl: Tensor,
 
     total = node((loss_sup.data + reg_u.data) * gamma + loss_cl.data,
                  (loss_sup, reg_u, loss_cl), vjp)
-    report = BatchLossReport(
-        loss_sup=float(loss_sup.data),
-        reg_u=float(reg_u.data),
-        loss_cl=float(loss_cl.data),
-        total=float(total.data),
-        sigma_inc=(consistency.sigma_inc if consistency is not None
-                   else np.zeros(n_classes, dtype=np.int64)),
-        h_pass_rate=consistency.h_pass_rate if consistency is not None else 0.0,
-        skipped=consistency.skipped if consistency is not None else 0,
-        clamped=clamped + (consistency.clamped if consistency is not None else 0),
-    )
+    if consistency is None:
+        consistency = BatchLossReport(0.0, 0.0, 0.0, 0.0,
+                                      np.zeros(n_classes, dtype=np.int64), 0.0)
+    report = replace(consistency, loss_sup=float(loss_sup.data),
+                     reg_u=float(reg_u.data), loss_cl=float(loss_cl.data),
+                     total=float(total.data), clamped=clamped + consistency.clamped)
     return total, report
 
 
@@ -464,6 +430,8 @@ class McRegEstimate:
     strong_ce: float           # MC strong-branch cross entropy under the
     strong_ce_se: float        # closed-form pseudo target
     h_rate: float
+    sem_label: int             # weak-view label; both branches use its covariance
+    target: np.ndarray         # the closed-form pseudo target
 
 
 def mc_oracle_reg(params: ClassifierParams, frozen: FrozenClassifier,
@@ -477,7 +445,8 @@ def mc_oracle_reg(params: ClassifierParams, frozen: FrozenClassifier,
     snapshot, strong under the live parameters, both with the weak-view
     label's covariance) and averages h * KL over all pairs. Also reports the
     strong-branch cross entropy under the closed-form pseudo target, which the
-    shifted-softmax term must upper-bound. Test/verification use only.
+    shifted-softmax term must upper-bound, and returns that label and target
+    with the estimate. Test/verification use only.
     """
     # looked up at call time: the span tracer patches semstats.sample_semantic
     from .semstats import sample_semantic
@@ -524,11 +493,13 @@ def mc_oracle_reg(params: ClassifierParams, frozen: FrozenClassifier,
 
     # strong-branch cross entropy under the closed-form target
     p_closed = probit_weak_probs(frozen.head, a_weak, cov, lam, beta)
-    t_closed = pseudo_target(p_closed, candidates)
+    t_closed = np.where(candidates, p_closed, 0.0)
+    t_closed /= t_closed.sum()
     ce_draws = -(log_ps @ t_closed)
     strong_ce = float(ce_draws.mean())
     strong_ce_se = float(ce_draws.std(ddof=1) / math.sqrt(n_samples)) \
         if n_samples > 1 else 0.0
 
     return McRegEstimate(value=float(value), se=float(se), strong_ce=strong_ce,
-                         strong_ce_se=strong_ce_se, h_rate=float(h.mean()))
+                         strong_ce_se=strong_ce_se, h_rate=float(h.mean()),
+                         sem_label=sem_label, target=t_closed)

@@ -18,10 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class NoGradientError(RuntimeError):
-    """Raised when a gradient is requested for a detached tensor."""
-
-
 def _as_array(value) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim > 2:
@@ -99,16 +95,6 @@ def node(value, parents: tuple[Tensor, ...], vjp) -> Tensor:
         out._parents = parents
         out._vjp = vjp
     return out
-
-
-def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
-    """Run backward and return each parameter's gradient (zeros if unused)."""
-    for p in params:
-        if not p.requires_grad:
-            raise NoGradientError("parameter is detached (requires_grad=False)")
-        p.grad = None
-    loss.backward()
-    return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -7,7 +7,8 @@ constant, axis sums, transpose, reshape and a fused logsumexp whose
 backward is the softmax. They are methods of ``Ref``, a ``Tensor`` whose
 results are again ``Ref`` nodes, and the package's own reverse pass runs
 them. ``lift`` starts a chain from a package tensor: a model parameter or
-the output of ``extract_features``.
+the output of ``extract_features``. ``gradients`` runs that reverse pass and
+returns each parameter's gradient.
 """
 
 from __future__ import annotations
@@ -15,6 +16,20 @@ from __future__ import annotations
 import numpy as np
 
 from plsp.tensorcore import Tensor
+
+
+class NoGradientError(RuntimeError):
+    """Raised when a gradient is requested for a detached tensor."""
+
+
+def gradients(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
+    """Run backward and return each parameter's gradient (zeros if unused)."""
+    for p in params:
+        if not p.requires_grad:
+            raise NoGradientError("parameter is detached (requires_grad=False)")
+        p.grad = None
+    loss.backward()
+    return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from refgraph import gradients
 from scipy.stats import chi2
 
 from plsp import augment
@@ -22,7 +23,6 @@ from plsp.objective import (assemble_batch, loss_complementary_semantic,
                             weak_cav_pseudo_labels)
 from plsp.pldata import generate_fps, generate_uss, make_blobs
 from plsp.semstats import ClassCovStats, update_cov_stats
-from plsp.tensorcore import gradients
 from plsp.trainer import (TrainConfig, schedule_gamma, schedule_lambda,
                           update_tau)
 
@@ -112,8 +112,7 @@ def _objective_case(rng):
 def _objective_value(params, frozen, stats, x_lab, y_lab, x_unl, xw, xs,
                      masks, tau, sem, gamma=0.7, lam=0.05) -> float:
     ls, _ = loss_sup_semantic(params, stats, x_lab, y_lab, lam)
-    ru, _ = reg_consistency_semantic(params, frozen, stats, xw, xs, masks,
-                                     lam, tau, sem_labels=sem)
+    ru, _ = reg_consistency_semantic(params, frozen, stats, xw, xs, masks, lam, tau)
     lcl, _ = loss_complementary_semantic(params, stats, x_unl, masks, sem, lam)
     total, _ = assemble_batch(ls, ru, lcl, gamma, frozen.n_classes)
     return total

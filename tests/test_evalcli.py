@@ -478,12 +478,16 @@ def test_cli_verify_small_run(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--instances", "0"), ("--instances", "-3"),
-                                        ("--mc-samples", "0"), ("--mc-samples", "-1")])
+                                        ("--mc-samples", "0"), ("--mc-samples", "-1"),
+                                        ("--bound-samples", "0"),
+                                        ("--bound-samples", "-1")])
 def test_cli_verify_exit_4_on_count_below_one(capsys, flag, value):
     assert _run(["verify", flag, value]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["code"] == 4
+    error = json.loads(captured.err)
+    assert error["code"] == 4
+    assert flag[2:].replace("-", "_") in error["error"]
 
 
 def test_cli_non_finite_metric_exits_4_and_leaves_no_stream(tmp_path, monkeypatch, capsys):

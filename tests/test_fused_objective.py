@@ -11,7 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
-from refgraph import Ref, lift
+from refgraph import Ref, gradients, lift
 
 from plsp import objective
 from plsp.model import extract_features, init_classifier, snapshot_frozen
@@ -19,7 +19,7 @@ from plsp.objective import (LOG_EPS, assemble_batch, loss_df, semantic_batch_los
                             weak_cav_pseudo_labels)
 from plsp.pldata import generate_fps, generate_uss, make_blobs
 from plsp.semstats import ClassCovStats, probit_weak_probs, update_cov_stats
-from plsp.tensorcore import Tensor, gradients, node
+from plsp.tensorcore import Tensor, node
 from plsp.trainer import TrainConfig, new_classifier, train_df_baseline, train_ss
 
 
@@ -100,8 +100,8 @@ def _ref_reg(params, frozen, stats, x_weak, x_strong, candidates, lam, tau,
         clamped += int(np.sum((log_ps.data < LOG_EPS) & (w > 0)))
         pieces.append((log_ps.maximum(LOG_EPS) * w).sum())
     value = (Ref(entropy) - _ref_sum(pieces)) / batch if pieces else Ref(0.0)
-    report = objective.ConsistencyReport(
-        value=float(value.data),
+    report = objective.BatchLossReport(
+        loss_sup=0.0, reg_u=float(value.data), loss_cl=0.0, total=float(value.data),
         sigma_inc=np.bincount(sem[h], minlength=l).astype(np.int64),
         h_pass_rate=float(h.mean()), skipped=int(np.sum(~valid)),
         clamped=clamped)
@@ -233,6 +233,8 @@ def test_per_term_functions_match_reference(l):
                                 tau, beta, sem)
     pairs.append(((reg, rep.clamped), (ref_reg, ref_rep.clamped)))
     assert rep.sigma_inc.tolist() == ref_rep.sigma_inc.tolist()
+    assert rep.reg_u == rep.total == float(reg.data)
+    assert rep.loss_sup == rep.loss_cl == 0.0
     for (loss, clamped), (ref_loss, ref_clamped) in pairs:
         assert clamped == ref_clamped
         assert _rel(float(loss.data), float(ref_loss.data)) <= 1e-12

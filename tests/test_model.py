@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from refgraph import Ref, lift
+from refgraph import Ref, gradients, lift
 
 from plsp.model import (ClassifierParams, _dense_relu, extract_features,
                         init_classifier, load_checkpoint, save_checkpoint,
                         snapshot_frozen)
-from plsp.tensorcore import Tensor, gradients, softmax
+from plsp.tensorcore import Tensor, softmax
 
 
 def _zero_model(input_dim=3, width=4, n_classes=3):

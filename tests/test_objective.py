@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from refgraph import Ref, lift
+from refgraph import Ref, gradients, lift
 
 from plsp.model import (ClassifierParams, extract_features, init_classifier,
                         snapshot_frozen)
-from plsp.objective import (DegenerateMassError, LOG_EPS, assemble_batch,
+from plsp.objective import (LOG_EPS, BatchLossReport, assemble_batch,
                             build_pseudo_split, cav_scores, loss_df,
                             loss_complementary_semantic, loss_sup_semantic,
-                            masked_argmax, mc_oracle_reg, pseudo_target,
+                            masked_argmax, mc_oracle_reg,
                             reg_consistency_semantic, shifted_log_probs,
                             weak_cav_pseudo_labels)
 from plsp.pldata import PLDataset, generate_uss
 from plsp.semstats import ClassCovStats, probit_weak_probs, update_cov_stats
-from plsp.tensorcore import Tensor, gradients, softmax
+from plsp.tensorcore import Tensor, softmax
 
 
 def _identity_model(head: np.ndarray) -> ClassifierParams:
@@ -222,27 +222,7 @@ def test_split_hand_case():
     assert split.unlabeled_idx.tolist() == [0, 3, 4]
 
 
-# -- pseudo target and gate ---------------------------------------------------------
-
-def test_pseudo_target_hand_case():
-    t = pseudo_target(np.array([0.6, 0.3, 0.1]), np.array([False, True, True]))
-    assert np.allclose(t, [0.0, 0.75, 0.25])
-
-
-def test_pseudo_target_singleton_one_hot():
-    t = pseudo_target(np.array([0.6, 0.3, 0.1]), np.array([False, False, True]))
-    assert np.allclose(t, [0.0, 0.0, 1.0])
-
-
-def test_pseudo_target_uniform_over_candidates():
-    t = pseudo_target(np.full(4, 0.25), np.array([True, True, True, False]))
-    assert np.allclose(t, [1 / 3, 1 / 3, 1 / 3, 0.0])
-
-
-def test_pseudo_target_degenerate_raises():
-    with pytest.raises(DegenerateMassError):
-        pseudo_target(np.array([1.0, 0.0, 0.0]), np.array([False, True, True]))
-
+# -- consistency gate ---------------------------------------------------------------
 
 def test_reg_gate_hand_cases():
     # lam = 0 and zero covariances: the weak probabilities are the plain
@@ -384,7 +364,8 @@ def test_reg_value_matches_direct_reference_lambda_zero():
         h = pw[jmax] >= tau[jmax] and mask[i, jmax]
         if not h:
             continue
-        t = pseudo_target(pw, mask[i])
+        t = np.where(mask[i], pw, 0.0)
+        t /= t.sum()
         ps = softmax(params.eval_logits(xs[i][None]), axis=1)[0]
         logp = np.maximum(np.log(ps), LOG_EPS)
         ent = np.sum(np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)), 0.0))
@@ -457,7 +438,8 @@ def test_mc_oracle_lambda_zero_deterministic():
     pw = softmax(frozen.logits_of(xw[None]), axis=1)[0]
     jmax = pw.argmax()
     h = pw[jmax] >= tau[jmax] and mask[jmax]
-    t = pseudo_target(pw, mask) if pw[mask].sum() > 0 else None
+    t = np.where(mask, pw, 0.0)
+    t = t / t.sum() if t.sum() > 0 else None
     ps = softmax(params.eval_logits(xs[None]), axis=1)[0]
     logp = np.maximum(np.log(ps), LOG_EPS)
     ref = 0.0
@@ -486,7 +468,10 @@ def test_mc_oracle_strong_ce_bounded_by_closed_form():
         sem = int(weak_cav_pseudo_labels(frozen, xw[None], mask[None])[0])
         pw = probit_weak_probs(frozen.head, frozen.features(xw[None])[0],
                                stats.cov(sem), lam)
-        t = pseudo_target(pw, mask)
+        t = np.where(mask, pw, 0.0)
+        t /= t.sum()
+        assert est.sem_label == sem
+        assert np.array_equal(est.target, t)
         ps = shifted_softmax_probs(params.head.data,
                                    params.eval_features(xs[None])[0],
                                    stats.cov(sem), lam)
@@ -534,8 +519,7 @@ def test_decomposition_reassembles():
     tau = np.full(3, 0.6)
     ls, _ = loss_sup_semantic(params, stats, x, y, lam)
     sem = weak_cav_pseudo_labels(frozen, xw, mask)
-    ru, rep = reg_consistency_semantic(params, frozen, stats, xw, xs, mask,
-                                       lam, tau, sem_labels=sem)
+    ru, rep = reg_consistency_semantic(params, frozen, stats, xw, xs, mask, lam, tau)
     lcl, _ = loss_complementary_semantic(params, stats, x, mask, sem, lam)
     total, _ = assemble_batch(ls, ru, lcl, gamma, 3)
     expect = gamma * (float(ls.data) + float(ru.data)) + float(lcl.data)
@@ -562,9 +546,9 @@ def test_assemble_batch_node_matches_op_chain_bitwise():
 
 
 def test_assemble_batch_report_fields():
-    from plsp.objective import ConsistencyReport, assemble_batch
-    rep = ConsistencyReport(value=0.3, sigma_inc=np.array([2, 0, 1]),
-                            h_pass_rate=0.5, skipped=1, clamped=2)
+    rep = BatchLossReport(loss_sup=0.0, reg_u=0.3, loss_cl=0.0, total=0.3,
+                          sigma_inc=np.array([2, 0, 1]), h_pass_rate=0.5,
+                          skipped=1, clamped=2)
     total, report = assemble_batch(Tensor(0.4), Tensor(0.3), Tensor(0.2),
                                    0.6, 3, rep, clamped=3)
     assert abs(report.total - (0.6 * (0.4 + 0.3) + 0.2)) < 1e-12
@@ -584,15 +568,13 @@ def test_objective_gradient_ignores_frozen_mutation():
     truth = rng.integers(0, 3, size=b)
     mask = generate_uss(truth, 3, rng)
     tau = np.full(3, 0.5)
-    sem = weak_cav_pseudo_labels(frozen, xw, mask)
-    reg, _ = reg_consistency_semantic(params, frozen, stats, xw, xs, mask,
-                                      0.05, tau, sem_labels=sem)
+    reg, _ = reg_consistency_semantic(params, frozen, stats, xw, xs, mask, 0.05, tau)
     value_before = float(reg.data)
     grads = [g.copy() for g in gradients(reg, params.parameters())]
     frozen.head += 50.0  # mutate the snapshot storage after the fact
     assert float(reg.data) == value_before
     reg2, _ = reg_consistency_semantic(params, snapshot_frozen(params), stats,
-                                       xw, xs, mask, 0.05, tau, sem_labels=sem)
+                                       xw, xs, mask, 0.05, tau)
     grads2 = gradients(reg2, params.parameters())
     for a, c in zip(grads, grads2):
         assert np.allclose(a, c)
@@ -618,7 +600,7 @@ def test_lambda_limit_converges_per_term():
         lambda lam: loss_sup_semantic(params, stats, x, y, lam)[0],
         lambda lam: loss_complementary_semantic(params, stats, x, mask, sem, lam)[0],
         lambda lam: reg_consistency_semantic(params, frozen, stats, xw, xs,
-                                             mask, lam, tau, sem_labels=sem)[0],
+                                             mask, lam, tau)[0],
     ):
         at_zero = float(loss_fn(0.0).data)
         at_tiny = float(loss_fn(tiny).data)

@@ -1,16 +1,15 @@
-"""The reverse pass, ``gradients``, ``softmax`` and SGD of ``plsp.tensorcore``,
-and the general ops of the tests' oracle graph (``refgraph``) that run on
-that reverse pass."""
+"""The reverse pass, ``softmax`` and SGD of ``plsp.tensorcore``, and the
+general ops and ``gradients`` of the tests' oracle graph (``refgraph``) that
+run on that reverse pass."""
 
 import gc
 import weakref
 
 import numpy as np
 import pytest
-from refgraph import Ref
+from refgraph import NoGradientError, Ref, gradients
 
-from plsp.tensorcore import (NoGradientError, SgdOptimizer, Tensor, gradients, node,
-                             softmax)
+from plsp.tensorcore import SgdOptimizer, Tensor, node, softmax
 from plsp.trainer import TrainConfig
 
 

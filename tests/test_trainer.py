@@ -9,7 +9,7 @@ from plsp.model import snapshot_frozen
 from plsp.objective import (build_pseudo_split, loss_complementary_semantic,
                             loss_df, weak_cav_pseudo_labels)
 from plsp.pldata import PLDataset, generate_fps, generate_uss, make_blobs
-from plsp.tensorcore import SgdOptimizer, gradients
+from plsp.tensorcore import SgdOptimizer
 from plsp.trainer import (MetricsRecord, TrainConfig, _Cycler, new_classifier,
                           pretrain, schedule_gamma, schedule_lambda,
                           train_df_baseline, train_ss, update_tau)
@@ -324,6 +324,21 @@ def test_train_ss_grid_data_with_an_empty_pool_runs_cleanly(k):
     expected = (0, 40) if k == 0 else (40, 0)
     assert [(r.n_labeled, r.n_unlabeled) for r in records] == [expected] * 2
     assert all(np.isfinite(r.loss_total) for r in records)
+
+
+def test_train_ss_steps_with_both_batches_empty_move_by_momentum_and_decay_alone():
+    ds = _blob_pl_dataset(n=30, l=3, seed=14)
+    config = _tiny_config(ss_epochs=2, inner_iters=5, batch_labeled=0,
+                          batch_unlabeled=0, hidden_dims=(8,))
+    params = new_classifier(ds, config)
+    expected = params.clone()
+    records = train_ss(ds, params, config)
+    assert [(r.loss_total, r.h_pass_rate) for r in records] == [(0.0, 0.0)] * 2
+    opt = SgdOptimizer(expected.parameters(), config)
+    for _ in range(config.ss_epochs * config.inner_iters):
+        opt.step()  # no gradient: momentum and weight decay only
+    for got, want in zip(params.parameters(), expected.parameters()):
+        assert np.array_equal(got.data, want.data)
 
 
 def test_train_ss_tau_respects_bounds_every_epoch():
