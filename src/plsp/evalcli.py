@@ -139,33 +139,57 @@ def check_lambda_zero(seed: int = 0, n_batches: int = 10,
 
 MAX_CHECK_MARGIN = 1.5
 # Rows per block of Monte-Carlo draws: bounds the check's memory at a few MB
-# (the (rows, d) block of normals plus an (l, rows) block of logits) whatever
+# (the (rows, r) block of normals plus an (l, rows) block of logits) whatever
 # the sample count.
 MC_CHUNK_ROWS = 65_536
+
+
+def _logit_factor(head: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """An (l, r) matrix F with F @ F.T == W @ W.T for W = head @ chol, where
+    r = min(l, d): F = R.T for the R of W.T's QR factorisation."""
+    return np.linalg.qr((head @ chol).T, mode="r").T
 
 
 def _mc_softmax_mean(a: np.ndarray, chol: np.ndarray, head: np.ndarray,
                      n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Mean of softmax(head @ (a + chol @ e)) over ``n_samples`` standard
-    normal draws e, taken in blocks of MC_CHUNK_ROWS rows. The blocks consume
-    the generator in the same order as one (n_samples, d) draw.
+    normal draws e, taken in blocks of MC_CHUNK_ROWS rows.
 
-    The logits come from the normals in one product with the (l, d) matrix
-    head @ chol, laid out class-major as (l, rows), so the softmax's max, exp
-    and sum over the l classes are whole-row operations and each block's
-    column sum is one mat-vec. Drawing the normals is most of the cost.
+    Only the logits' law matters, N(head @ a, W @ W.T) with W = head @ chol,
+    so each sample draws r = min(l, d) normals g and forms the logits as
+    head @ a + F @ g with F = _logit_factor(head, chol): 3 normals per sample
+    in place of d = 8 for the weak-branch check's cases. The blocks consume
+    the generator in the same order as one (n_samples, r) draw. The logits
+    are laid out class-major as (l, rows), so the softmax's max, exp and sum
+    over the l classes are whole-row operations and each block's column sum
+    is one mat-vec. Drawing the normals is most of the cost.
     """
-    w = head @ chol
+    f = _logit_factor(head, chol)
     z0 = (head @ a)[:, None]
     total = np.zeros(head.shape[0])
     for start in range(0, n_samples, MC_CHUNK_ROWS):
         rows = min(MC_CHUNK_ROWS, n_samples - start)
-        z = w @ rng.standard_normal((rows, a.size)).T
+        z = f @ rng.standard_normal((rows, f.shape[1])).T
         z += z0
         z -= z.max(axis=0)
         np.exp(z, out=z)
         total += z @ (1.0 / z.sum(axis=0))
     return total / n_samples
+
+
+def _weak_branch_case(rng: np.random.Generator, case: int):
+    """One random weak-branch case: head, features, class covariance, strength."""
+    l, d_f = 3, 8
+    head = rng.standard_normal((l, d_f)) * 0.35
+    a = rng.standard_normal(d_f) * 0.45
+    z = head @ a
+    spread = float(np.abs(z[:, None] - z[None, :]).max())
+    if spread > MAX_CHECK_MARGIN:
+        head *= MAX_CHECK_MARGIN / spread
+    cloud = rng.standard_normal((40, d_f))
+    cov = np.cov(cloud.T, bias=True)
+    lam = [0.01, 0.05][case % 2]
+    return head, a, cov, lam
 
 
 def check_weak_branch(seed: int, n_samples: int, n_cases: int = 12,
@@ -176,24 +200,18 @@ def check_weak_branch(seed: int, n_samples: int, n_cases: int = 12,
     cases at strengths 0.01 and 0.05. Pairwise logit margins are capped at
     MAX_CHECK_MARGIN: that is the ambiguous-instance regime the weak branch
     feeds on, and beyond it the gaussian-vs-logistic tail ratio makes a flat
-    relative budget unachievable for any slope. A non-finite error fails
-    the check.
+    relative budget unachievable for any slope. All cases come from
+    ``default_rng(seed)`` before any sampling, and the draws from
+    ``default_rng([seed, 1])``, so the cases do not depend on ``n_samples``.
+    A non-finite error fails the check.
     """
-    rng = np.random.default_rng(seed)
+    case_rng = np.random.default_rng(seed)
+    cases = [_weak_branch_case(case_rng, case) for case in range(n_cases)]
+    draw_rng = np.random.default_rng([seed, 1])
     worst = 0.0
-    for case in range(n_cases):
-        l, d_f = 3, 8
-        head = rng.standard_normal((l, d_f)) * 0.35
-        a = rng.standard_normal(d_f) * 0.45
-        z = head @ a
-        spread = float(np.abs(z[:, None] - z[None, :]).max())
-        if spread > MAX_CHECK_MARGIN:
-            head *= MAX_CHECK_MARGIN / spread
-        cloud = rng.standard_normal((40, d_f))
-        cov = np.cov(cloud.T, bias=True)
-        lam = [0.01, 0.05][case % 2]
-        chol = np.linalg.cholesky(lam * cov + 1e-15 * np.eye(d_f))
-        p_mc = _mc_softmax_mean(a, chol, head, n_samples, rng)
+    for head, a, cov, lam in cases:
+        chol = np.linalg.cholesky(lam * cov + 1e-15 * np.eye(a.size))
+        p_mc = _mc_softmax_mean(a, chol, head, n_samples, draw_rng)
         p_cf = probit_weak_probs(head, a, cov, lam, BETA_RELATIVE)
         # np.maximum keeps a NaN, which then fails `worst <= rel_tol`
         worst = np.maximum(worst, float((np.abs(p_cf - p_mc) / p_mc).max()))

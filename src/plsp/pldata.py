@@ -146,26 +146,33 @@ def _place_centers(l: int, d: int, separation: float, rng: np.random.Generator) 
 def make_blobs(n: int, l: int, d: int, separation: float,
                rng: np.random.Generator) -> PLDataset:
     """Balanced isotropic unit-variance Gaussian clusters, z-scored per
-    dimension. Truth labels are filled; candidate masks are left empty."""
+    dimension. Truth labels are filled; candidate masks are left empty.
+    Raises ValueError when the separation is so large that the z-scoring
+    overflows."""
     if n < l:
         raise ValueError("need at least one instance per class")
     if d < 2:
         raise ValueError("need d >= 2")
     if not (math.isfinite(separation) and separation > 0):
         raise ValueError(f"separation must be finite and > 0, got {separation}")
-    centers = _place_centers(l, d, separation, rng)
     base = n // l
     counts = np.full(l, base)
     counts[: n - base * l] += 1  # remainder round-robin
     feats = []
     truth = []
-    for j in range(l):
-        feats.append(centers[j] + rng.standard_normal((counts[j], d)))
-        truth.append(np.full(counts[j], j, dtype=np.uint32))
-    x = np.concatenate(feats)
-    mean = x.mean(axis=0)
-    std = np.maximum(x.std(axis=0), 1e-12)
-    x = (x - mean) / std
+    # an overflow here is caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = _place_centers(l, d, separation, rng)
+        for j in range(l):
+            feats.append(centers[j] + rng.standard_normal((counts[j], d)))
+            truth.append(np.full(counts[j], j, dtype=np.uint32))
+        x = np.concatenate(feats)
+        mean = x.mean(axis=0)
+        std = np.maximum(x.std(axis=0), 1e-12)
+        x = (x - mean) / std
+    if not (np.isfinite(std).all() and np.isfinite(x).all()):
+        raise ValueError(f"separation {separation:g} is too large: the z-scored "
+                         "features are not finite")
     return PLDataset(
         features=x.astype(np.float32),
         candidates=np.zeros((n, l), dtype=bool),

@@ -13,18 +13,16 @@ import pytest
 from refgraph import gradients
 from scipy.stats import chi2
 
-from plsp import augment
 from plsp.evalcli import (MetricsRecord, check_bound_direction,
                           check_lambda_zero, check_weak_branch, cli_main,
-                          macro_micro_f1, run_verify)
+                          run_verify)
 from plsp.model import init_classifier, snapshot_frozen
 from plsp.objective import (assemble_batch, loss_complementary_semantic,
                             loss_sup_semantic, reg_consistency_semantic,
                             weak_cav_pseudo_labels)
-from plsp.pldata import generate_fps, generate_uss, make_blobs
+from plsp.pldata import generate_fps, generate_uss
 from plsp.semstats import ClassCovStats, update_cov_stats
-from plsp.trainer import (TrainConfig, schedule_gamma, schedule_lambda,
-                          update_tau)
+from plsp.trainer import schedule_gamma, schedule_lambda, update_tau
 
 from test_pldata import fps_exact
 

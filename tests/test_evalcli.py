@@ -11,9 +11,9 @@ import pytest
 
 from plsp import evalcli
 from plsp.augment import AugmentSpec
-from plsp.evalcli import (MetricsRecord, _mc_softmax_mean, beta_sup_errors,
-                          build_augment_spec, build_train_config, check_lambda_zero,
-                          cli_main, macro_micro_f1, parse_config_file)
+from plsp.evalcli import (MetricsRecord, _logit_factor, _mc_softmax_mean,
+                          beta_sup_errors, build_augment_spec, build_train_config,
+                          check_lambda_zero, cli_main, macro_micro_f1, parse_config_file)
 from plsp.model import ClassifierParams, init_classifier, save_checkpoint
 from plsp.pldata import PLDataset, generate_uss, read_dataset, write_dataset
 from plsp.tensorcore import Tensor, softmax
@@ -293,22 +293,72 @@ def test_lambda_zero_check_passes():
     assert res.passed, res.detail
 
 
+def _mc_case(l: int, d: int, seed: int = 21):
+    """A head, a feature vector and a Cholesky factor of a class covariance."""
+    rng = np.random.default_rng(seed)
+    head = rng.standard_normal((l, d))
+    a = rng.standard_normal(d)
+    chol = np.linalg.cholesky(0.05 * np.cov(rng.standard_normal((4 * d, d)).T))
+    return head, a, chol
+
+
+def _feature_space_mc_mean(a, chol, head, n_samples, rng):
+    """Oracle: mean of softmax(head @ (a + chol @ e)) drawing all d normals
+    of each feature-space sample e."""
+    draws = a + rng.standard_normal((n_samples, a.size)) @ chol.T
+    return softmax(draws @ head.T, axis=1).mean(axis=0)
+
+
+@pytest.mark.parametrize("l,d", [(3, 8), (10, 64)])
+def test_mc_mean_agrees_with_the_feature_space_oracle(l, d):
+    head, a, chol = _mc_case(l, d)
+    n = 100_000
+    estimate = _mc_softmax_mean(a, chol, head, n, np.random.default_rng(1))
+    oracle = _feature_space_mc_mean(a, chol, head, n, np.random.default_rng(2))
+    # per-coordinate standard deviation of one sample's softmax, from a
+    # third, independent feature-space draw
+    draws = a + np.random.default_rng(3).standard_normal((20_000, d)) @ chol.T
+    sd = softmax(draws @ head.T, axis=1).std(axis=0)
+    combined_se = sd * math.sqrt(2.0 / n)
+    assert np.all(np.abs(estimate - oracle) <= 5.0 * combined_se)
+
+
+@pytest.mark.parametrize("l,d", [(3, 8), (10, 64), (12, 5)])
+def test_logit_factor_carries_the_logit_covariance(l, d):
+    head, _, chol = _mc_case(l, d)
+    w = head @ chol
+    f = _logit_factor(head, chol)
+    assert f.shape == (l, min(l, d))
+    assert np.abs(f @ f.T - w @ w.T).max() <= 1e-12 * np.abs(w @ w.T).max()
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
 def test_chunked_mc_mean_matches_one_shot_draw(monkeypatch, chunk):
     monkeypatch.setattr(evalcli, "MC_CHUNK_ROWS", chunk)
     n = 333  # a multiple of no chunk size but 1
     for l, d in [(3, 8), (10, 64)]:
-        rng = np.random.default_rng(21)
-        head = rng.standard_normal((l, d))
-        a = rng.standard_normal(d)
-        chol = np.linalg.cholesky(0.05 * np.cov(rng.standard_normal((4 * d, d)).T))
+        head, a, chol = _mc_case(l, d)
+        f = _logit_factor(head, chol)
         one_shot_rng = np.random.default_rng(5)
-        draws = a + one_shot_rng.standard_normal((n, d)) @ chol.T
-        one_shot = softmax(draws @ head.T, axis=1).mean(axis=0)
+        logits = head @ a + one_shot_rng.standard_normal((n, f.shape[1])) @ f.T
+        one_shot = softmax(logits, axis=1).mean(axis=0)
         chunked_rng = np.random.default_rng(5)
         chunked = _mc_softmax_mean(a, chol, head, n, chunked_rng)
         assert np.abs(chunked - one_shot).max() <= 1e-12 * np.abs(one_shot).max()
         assert chunked_rng.bit_generator.state == one_shot_rng.bit_generator.state
+
+
+def test_weak_branch_cases_do_not_depend_on_the_sample_count(monkeypatch):
+    real = evalcli.probit_weak_probs
+    calls = []
+    monkeypatch.setattr(evalcli, "probit_weak_probs",
+                        lambda *args: calls.append(args) or real(*args))
+    for n_samples in (1_000, 3_000):
+        evalcli.check_weak_branch(seed=0, n_samples=n_samples, n_cases=4)
+    assert len(calls) == 8
+    for few, many in zip(calls[:4], calls[4:]):
+        assert len(few) == len(many)
+        assert all(np.array_equal(x, y) for x, y in zip(few, many))
 
 
 def _nan_on_call(monkeypatch, name: str, call: int) -> None:
@@ -456,12 +506,13 @@ def test_cli_sweep_k_reports_each_k(tmp_path, capsys):
 
 
 # the stdout of `verify --seed 0 --instances 6 --mc-samples 200000
-# --bound-samples 500` as a direct row-wise softmax of the same draws prints
-# it: the Monte-Carlo kernel may reorder its arithmetic, not its report
+# --bound-samples 500` as a direct row-wise softmax of the same (rows, r)
+# logit draws prints it: the Monte-Carlo kernel may reorder its arithmetic,
+# not its report
 VERIFY_SMALL_STDOUT = """\
 PASS bound-direction: 6/6 instances, min slack 2.668e-03 (K=500)
 PASS lambda-zero-reduction: max deviation 6.883e-15 (tol 1e-09)
-PASS weak-branch-mc: max per-coordinate rel err 0.0127 (tol 0.02, beta=0.6087, K=200000)
+PASS weak-branch-mc: max per-coordinate rel err 0.0153 (tol 0.02, beta=0.6087, K=200000)
 INFO beta-sup-error default: beta=0.587632 sup|sigmoid-Phi(beta x)|=0.009457
 INFO beta-sup-error relative: beta=0.608700 sup|sigmoid-Phi(beta x)|=0.013530
 INFO beta-sup-error slope-matched sqrt(pi/8): beta=0.626657 sup|sigmoid-Phi(beta x)|=0.017671
@@ -612,6 +663,13 @@ def test_generate_with_a_non_finite_separation_exits_4_writing_nothing(tmp_path,
     error = _exits_4_writing_nothing(tmp_path, capsys, [
         "generate", "--out", str(tmp_path / "out.plsp"), "--separation", value])
     assert "separation must be finite" in error
+
+
+def test_generate_with_an_overflowing_separation_exits_4_writing_nothing(tmp_path, capsys):
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        "generate", "--out", str(tmp_path / "out.plsp"),
+        "--test-out", str(tmp_path / "out.test.plsp"), "--separation", "1e160"])
+    assert "z-scored features are not finite" in error
 
 
 @pytest.mark.parametrize("classes,dim", [(6, 2), (4, 3)])

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,13 @@ def test_blobs_preconditions():
 def test_blobs_reject_a_non_finite_separation(separation):
     with pytest.raises(ValueError, match="separation must be finite"):
         make_blobs(10, 3, 2, separation, np.random.default_rng(0))
+
+
+def test_blobs_reject_a_separation_too_large_to_z_score():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="separation 1e[+]160 is too large"):
+            make_blobs(50, 4, 2, 1e160, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("n_test", [-5, -1, 101])
