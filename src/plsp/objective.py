@@ -41,8 +41,7 @@ import numpy as np
 
 from .model import ClassifierParams, FrozenClassifier, extract_features
 from .pldata import PLDataset
-from .semstats import (ClassCovStats, DEFAULT_BETA, pairwise_quadratic,
-                       probit_weak_probs)
+from .semstats import ClassCovStats, pairwise_quadratic, probit_weak_probs
 from .tensorcore import Tensor, node, softmax
 
 LOG_EPS = math.log(1e-12)
@@ -74,13 +73,16 @@ class PseudoSplit:
 
 @dataclass
 class BatchLossReport:
+    """One step's (or one term's) loss values, the weak branch's gate counts
+    and the log-clamp events. The consistency gate has no skip count: a row
+    with no candidate is rejected, and every other row has positive
+    candidate mass."""
     loss_sup: float
     reg_u: float
     loss_cl: float
     total: float
     sigma_inc: np.ndarray      # per-class confident counts
     h_pass_rate: float
-    skipped: int = 0           # degenerate-mass instances
     clamped: int = 0           # log-clamp events
 
 
@@ -262,41 +264,43 @@ def _objective_kernel(params: ClassifierParams, stats: ClassCovStats, lam: float
 
 
 def _weak_branch(feats: np.ndarray, head: np.ndarray, stats: ClassCovStats,
-                 candidates: np.ndarray, lam: float, tau: np.ndarray, beta: float,
+                 candidates: np.ndarray, lam: float, tau: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, float, BatchLossReport]:
     """The weak side of the consistency term, pure numpy.
 
     From the weak rows' features and the head array: the weak-view semantic
     labels (the candidate-restricted activation-value argmax) and the probit
-    expected softmax, each row at its own class's covariance. Returns the
-    semantic labels, the gated pseudo targets, their summed entropy and a
-    report holding the gate counts (``sigma_inc``, ``h_pass_rate``,
-    ``skipped``), whose losses and clamp count the caller fills in.
+    expected softmax, each row at its own class's covariance. The pseudo
+    target renormalises that softmax over the candidate set; every clipped
+    probit probability is positive, so its mass is too. Returns the semantic
+    labels, the gated pseudo targets, their summed entropy and a report
+    holding the gate counts (``sigma_inc``, ``h_pass_rate``), whose losses
+    and clamp count the caller fills in. Raises ValueError on a row with no
+    candidate.
     """
     batch = len(feats)
     n_classes = head.shape[0]
     candidates = np.asarray(candidates, dtype=bool)
+    empty = np.flatnonzero(~candidates.any(axis=1))
+    if empty.size:
+        raise ValueError(f"row {empty[0]} has no candidate label")
     sem = masked_argmax(cav_scores(feats @ head.T), candidates)
-    p_weak = probit_weak_probs(head, feats, stats.covs, lam, beta, classes=sem)
+    p_weak = probit_weak_probs(head, feats, stats.covs, lam, classes=sem)
 
     tau = np.asarray(tau, dtype=np.float64)
     rows = np.arange(batch)
     jmax = p_weak.argmax(axis=1)
     h = (p_weak[rows, jmax] >= tau[jmax]) & candidates[rows, jmax]
     masked = np.where(candidates, p_weak, 0.0)
-    mass = masked.sum(axis=1)
-    valid = mass > 0.0
-    targets = np.zeros_like(masked)
-    targets[valid] = masked[valid] / mass[valid, None]
+    targets = masked / masked.sum(axis=1, keepdims=True)
 
-    weights = targets * (h & valid)[:, None]
+    weights = targets * h[:, None]
     entropy = float(np.sum(np.where(weights > 0, weights * np.log(
         targets, out=np.zeros_like(targets), where=targets > 0), 0.0)))
     report = BatchLossReport(
         loss_sup=0.0, reg_u=0.0, loss_cl=0.0, total=0.0,
         sigma_inc=np.bincount(sem[h], minlength=n_classes).astype(np.int64),
         h_pass_rate=float(h.sum() / max(batch, 1)),
-        skipped=int(np.sum(~valid)),
     )
     return sem, weights, entropy, report
 
@@ -305,8 +309,7 @@ def semantic_batch_loss(params: ClassifierParams, stats: ClassCovStats,
                         x_lab: np.ndarray, y_lab: np.ndarray,
                         x_unl: np.ndarray, x_weak: np.ndarray, x_strong: np.ndarray,
                         candidates: np.ndarray, lam: float, tau: np.ndarray,
-                        gamma: float, beta: float = DEFAULT_BETA,
-                        ) -> tuple[Tensor, BatchLossReport]:
+                        gamma: float) -> tuple[Tensor, BatchLossReport]:
     """One semi-supervised step's gamma * (loss_sup + reg_u) + loss_cl.
 
     The rows [labeled; unlabeled un-augmented; strong] go through a single
@@ -317,7 +320,7 @@ def semantic_batch_loss(params: ClassifierParams, stats: ClassCovStats,
     of the live weights; its gate counts fill the returned report beside the
     three term values, the total and the clamp count. Values equal
     ``assemble_batch`` over the three per-term functions given a frozen copy
-    of ``params``.
+    of ``params``. An unlabeled row with no candidate raises ValueError.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -325,8 +328,7 @@ def semantic_batch_loss(params: ClassifierParams, stats: ClassCovStats,
     y_lab = np.asarray(y_lab, dtype=np.int64)
     n_lab, n_unl = len(y_lab), len(x_unl)
     sem, weights, entropy, report = _weak_branch(
-        params.eval_features(x_weak), params.head.data, stats, candidates,
-        lam, tau, beta)
+        params.eval_features(x_weak), params.head.data, stats, candidates, lam, tau)
     l = params.n_classes
     sup_w, reg_w, cl_w = (np.zeros((n_lab + 2 * n_unl, l)) for _ in range(3))
     sup_w[np.arange(n_lab), y_lab] = 1.0 / max(n_lab, 1)
@@ -356,9 +358,7 @@ def loss_sup_semantic(params: ClassifierParams, stats: ClassCovStats,
 def reg_consistency_semantic(params: ClassifierParams, frozen: FrozenClassifier,
                              stats: ClassCovStats, x_weak: np.ndarray,
                              x_strong: np.ndarray, candidates: np.ndarray,
-                             lam: float, tau: np.ndarray,
-                             beta: float = DEFAULT_BETA,
-                             ) -> tuple[Tensor, BatchLossReport]:
+                             lam: float, tau: np.ndarray) -> tuple[Tensor, BatchLossReport]:
     """Confidence-gated KL between the frozen weak-branch target and the live
     strong-branch shifted softmax, averaged over the whole mini-batch.
 
@@ -369,7 +369,7 @@ def reg_consistency_semantic(params: ClassifierParams, frozen: FrozenClassifier,
     """
     batch = len(x_strong)
     sem, weights, entropy, report = _weak_branch(
-        frozen.features(x_weak), frozen.head, stats, candidates, lam, tau, beta)
+        frozen.features(x_weak), frozen.head, stats, candidates, lam, tau)
     zero = np.zeros_like(weights)
     value, _, report.clamped = _objective_kernel(
         params, stats, lam, [x_strong], sem, zero, weights / max(batch, 1),
@@ -437,8 +437,7 @@ class McRegEstimate:
 def mc_oracle_reg(params: ClassifierParams, frozen: FrozenClassifier,
                   stats: ClassCovStats, x_weak: np.ndarray, x_strong: np.ndarray,
                   candidates: np.ndarray, lam: float, tau: np.ndarray,
-                  n_samples: int, rng: np.random.Generator,
-                  beta: float = DEFAULT_BETA) -> McRegEstimate:
+                  n_samples: int, rng: np.random.Generator) -> McRegEstimate:
     """Sampled estimate of the single-instance consistency term.
 
     Draws ``n_samples`` semantic transforms per branch (weak under the frozen
@@ -465,6 +464,7 @@ def mc_oracle_reg(params: ClassifierParams, frozen: FrozenClassifier,
     jmax = p_w.argmax(axis=1)
     h = (p_w[np.arange(n_samples), jmax] >= tau[jmax]) & candidates[jmax]
     masked = np.where(candidates, p_w, 0.0)
+    # unclipped, a sampled softmax can underflow to 0 on every candidate
     mass = masked.sum(axis=1)
     valid = mass > 0
     targets = np.zeros_like(masked)
@@ -492,7 +492,7 @@ def mc_oracle_reg(params: ClassifierParams, frozen: FrozenClassifier,
         if n_samples > 1 else 0.0
 
     # strong-branch cross entropy under the closed-form target
-    p_closed = probit_weak_probs(frozen.head, a_weak, cov, lam, beta)
+    p_closed = probit_weak_probs(frozen.head, a_weak, cov, lam)
     t_closed = np.where(candidates, p_closed, 0.0)
     t_closed /= t_closed.sum()
     ce_draws = -(log_ps @ t_closed)

@@ -38,7 +38,7 @@ from .objective import (assemble_batch, loss_complementary_semantic,  # noqa: F4
                         loss_sup_semantic, reg_consistency_semantic,
                         weak_cav_pseudo_labels)
 from .pldata import PLDataset
-from .semstats import ClassCovStats, DEFAULT_BETA, update_cov_stats
+from .semstats import ClassCovStats, update_cov_stats
 from .tensorcore import SgdOptimizer
 
 # rng substream purposes
@@ -63,7 +63,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    beta: float = DEFAULT_BETA
     tau_floor: float = 0.5
     seed: int = 0
     deterministic: bool = False
@@ -87,8 +86,6 @@ class TrainConfig:
             raise ValueError("tau_floor must lie in [0, tau0]")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
         if any(width < 1 for width in self.hidden_dims):
             raise ValueError("hidden_dims widths must be >= 1")
 
@@ -107,7 +104,6 @@ class MetricsRecord:
     train_micro_f1: float = 0.0
     h_pass_rate: float = 0.0
     clamped: int = 0            # log-clamp events, summed over the epoch
-    skipped: int = 0            # degenerate-mass instances, summed over the epoch
     tau: list[float] = field(default_factory=list)
     n_labeled: int = 0
     n_unlabeled: int = 0
@@ -257,8 +253,8 @@ def _epoch_record(epoch: int, params: ClassifierParams, ds: PLDataset,
 
 
 # BatchLossReport fields summed over an epoch's steps; the losses and the pass
-# rate are recorded as means, the counts as totals
-_SUMMED = ("loss_sup", "reg_u", "loss_cl", "total", "h_pass_rate", "clamped", "skipped")
+# rate are recorded as means, the clamp count as a total
+_SUMMED = ("loss_sup", "reg_u", "loss_cl", "total", "h_pass_rate", "clamped")
 
 
 def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
@@ -316,7 +312,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
 
             total, batch_report = semantic_batch_loss(
                 params, stats, x_flat[lab], lab_y[lab], x_flat[unl],
-                x_w, x_s, ds.candidates[unl], lam, tau, gamma, config.beta)
+                x_w, x_s, ds.candidates[unl], lam, tau, gamma)
             opt.zero_grad()
             total.backward()
             opt.step()
@@ -330,7 +326,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
             loss_sup=sums["loss_sup"] / iters, reg_u=sums["reg_u"] / iters,
             loss_cl=sums["loss_cl"] / iters, loss_total=sums["total"] / iters,
             h_pass_rate=sums["h_pass_rate"] / iters,
-            clamped=sums["clamped"], skipped=sums["skipped"], tau=tau.tolist(),
+            clamped=sums["clamped"], tau=tau.tolist(),
             n_labeled=split.n_labeled, n_unlabeled=split.n_unlabeled))
     return records
 

@@ -68,15 +68,14 @@ def _ref_loss_sup(params, stats, x, y, lam):
     return _ref_sum(pieces) / len(y), clamped
 
 
-def _ref_reg(params, frozen, stats, x_weak, x_strong, candidates, lam, tau,
-             beta, sem):
+def _ref_reg(params, frozen, stats, x_weak, x_strong, candidates, lam, tau, sem):
     batch, l = len(x_strong), frozen.n_classes
     feats_weak = frozen.features(x_weak)
     p_weak = np.zeros((batch, l))
     for cls in np.unique(sem):
         grp = np.flatnonzero(sem == cls)
         p_weak[grp] = probit_weak_probs(frozen.head, feats_weak[grp],
-                                        stats.cov(cls), lam, beta)
+                                        stats.cov(cls), lam)
     rows = np.arange(batch)
     jmax = p_weak.argmax(axis=1)
     h = (p_weak[rows, jmax] >= tau[jmax]) & candidates[rows, jmax]
@@ -103,8 +102,7 @@ def _ref_reg(params, frozen, stats, x_weak, x_strong, candidates, lam, tau,
     report = objective.BatchLossReport(
         loss_sup=0.0, reg_u=float(value.data), loss_cl=0.0, total=float(value.data),
         sigma_inc=np.bincount(sem[h], minlength=l).astype(np.int64),
-        h_pass_rate=float(h.mean()), skipped=int(np.sum(~valid)),
-        clamped=clamped)
+        h_pass_rate=float(h.mean()), clamped=clamped)
     return value, report
 
 
@@ -124,13 +122,13 @@ def _ref_loss_cl(params, stats, x, candidates, sem, lam):
 
 
 def _ref_step(params, frozen, stats, x_lab, y_lab, x_unl, x_w, x_s, cands,
-              lam, tau, gamma, beta):
+              lam, tau, gamma):
     loss_sup, sup_clamped = _ref_loss_sup(params, stats, x_lab, y_lab, lam)
     consistency = None
     if len(x_unl):
         sem = weak_cav_pseudo_labels(frozen, x_w, cands)
         reg, consistency = _ref_reg(params, frozen, stats, x_w, x_s, cands,
-                                    lam, tau, beta, sem)
+                                    lam, tau, sem)
         loss_cl, cl_clamped = _ref_loss_cl(params, stats, x_unl, cands, sem, lam)
     else:
         reg, loss_cl, cl_clamped = Ref(0.0), Ref(0.0), 0
@@ -168,7 +166,7 @@ def _batch(l, n_lab, n_unl, seed, present=None, tau=None, head_scale=1.0,
         cands[np.arange(n_unl), truth] = True
     tau = np.full(l, 1.5 / l if tau is None else tau)
     return (params, frozen, stats, x_lab, y_lab, x_unl, x_w, x_s, cands,
-            0.05, tau, 0.7, 0.587632)
+            0.05, tau, 0.7)
 
 
 CASES = {
@@ -205,7 +203,6 @@ def test_fused_step_matches_per_class_reference(l, case):
     for name in ("loss_sup", "reg_u", "loss_cl", "total"):
         assert _rel(getattr(got, name), getattr(ref, name)) <= 1e-12, name
     assert got.clamped == ref.clamped
-    assert got.skipped == ref.skipped
     assert got.h_pass_rate == ref.h_pass_rate
     assert got.sigma_inc.tolist() == ref.sigma_inc.tolist()
     if case == "saturated":
@@ -219,7 +216,7 @@ def test_fused_step_matches_per_class_reference(l, case):
 @pytest.mark.parametrize("l", [3, 4, 10])
 def test_per_term_functions_match_reference(l):
     (params, frozen, stats, x_lab, y_lab, x_unl, x_w, x_s, cands, lam, tau,
-     _gamma, beta) = _batch(l, 6, 9, seed=200 + l)
+     _gamma) = _batch(l, 6, 9, seed=200 + l)
     sem = weak_cav_pseudo_labels(frozen, x_w, cands)
     pairs = [
         (objective.loss_sup_semantic(params, stats, x_lab, y_lab, lam),
@@ -228,9 +225,9 @@ def test_per_term_functions_match_reference(l):
          _ref_loss_cl(params, stats, x_unl, cands, sem, lam)),
     ]
     reg, rep = objective.reg_consistency_semantic(params, frozen, stats, x_w, x_s,
-                                                  cands, lam, tau, beta)
+                                                  cands, lam, tau)
     ref_reg, ref_rep = _ref_reg(params, frozen, stats, x_w, x_s, cands, lam,
-                                tau, beta, sem)
+                                tau, sem)
     pairs.append(((reg, rep.clamped), (ref_reg, ref_rep.clamped)))
     assert rep.sigma_inc.tolist() == ref_rep.sigma_inc.tolist()
     assert rep.reg_u == rep.total == float(reg.data)

@@ -10,8 +10,8 @@ from plsp.objective import (LOG_EPS, BatchLossReport, assemble_batch,
                             build_pseudo_split, cav_scores, loss_df,
                             loss_complementary_semantic, loss_sup_semantic,
                             masked_argmax, mc_oracle_reg,
-                            reg_consistency_semantic, shifted_log_probs,
-                            weak_cav_pseudo_labels)
+                            reg_consistency_semantic, semantic_batch_loss,
+                            shifted_log_probs, weak_cav_pseudo_labels)
 from plsp.pldata import PLDataset, generate_uss
 from plsp.semstats import ClassCovStats, probit_weak_probs, update_cov_stats
 from plsp.tensorcore import Tensor, softmax
@@ -529,6 +529,23 @@ def test_decomposition_reassembles():
     assert float(ls.data) >= 0 and float(ru.data) >= -1e-12 and float(lcl.data) >= 0
 
 
+def test_a_row_with_no_candidate_is_rejected_by_name():
+    """The consistency term renormalises over the candidate set, so an empty
+    set has no target; both entry points refuse it and name the row."""
+    rng = np.random.default_rng(14)
+    params, stats = _random_setup(rng)
+    x = rng.standard_normal((5, 4))
+    mask = generate_uss(rng.integers(0, 3, size=5), 3, rng)
+    mask[[2, 4]] = False
+    tau = np.full(3, 0.6)
+    with pytest.raises(ValueError, match="row 2 has no candidate"):
+        reg_consistency_semantic(params, snapshot_frozen(params), stats, x, x,
+                                 mask, 0.03, tau)
+    with pytest.raises(ValueError, match="row 2 has no candidate"):
+        semantic_batch_loss(params, stats, x[:0], np.zeros(0, np.int64), x, x, x,
+                            mask, 0.03, tau, 0.7)
+
+
 def test_assemble_batch_node_matches_op_chain_bitwise():
     values, gamma = (0.4, 0.3, 0.2), 0.37
     ls, ru, lcl = (Tensor(v, requires_grad=True) for v in values)
@@ -548,14 +565,13 @@ def test_assemble_batch_node_matches_op_chain_bitwise():
 def test_assemble_batch_report_fields():
     rep = BatchLossReport(loss_sup=0.0, reg_u=0.3, loss_cl=0.0, total=0.3,
                           sigma_inc=np.array([2, 0, 1]), h_pass_rate=0.5,
-                          skipped=1, clamped=2)
+                          clamped=2)
     total, report = assemble_batch(Tensor(0.4), Tensor(0.3), Tensor(0.2),
                                    0.6, 3, rep, clamped=3)
     assert abs(report.total - (0.6 * (0.4 + 0.3) + 0.2)) < 1e-12
     assert abs(float(total.data) - report.total) < 1e-15
     assert report.sigma_inc.tolist() == [2, 0, 1]
     assert report.clamped == 5
-    assert report.skipped == 1
 
 
 def test_objective_gradient_ignores_frozen_mutation():

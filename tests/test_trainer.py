@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -89,11 +90,9 @@ def test_config_validation():
         TrainConfig(k=-1)
     with pytest.raises(ValueError):
         TrainConfig(tau_floor=0.9, tau0=0.8)
-    for field, value in [("beta", 0.0), ("beta", -1.0), ("beta", math.nan),
-                         ("beta", math.inf), ("gamma0", math.inf),
-                         ("lambda0", math.nan), ("learning_rate", math.inf),
-                         ("weight_decay", math.nan), ("hidden_dims", (8, 0)),
-                         ("hidden_dims", (0,))]:
+    for field, value in [("gamma0", math.inf), ("lambda0", math.nan),
+                         ("learning_rate", math.inf), ("weight_decay", math.nan),
+                         ("hidden_dims", (8, 0)), ("hidden_dims", (0,))]:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
     assert TrainConfig(hidden_dims=()).hidden_dims == ()  # no hidden layer is legal
@@ -363,6 +362,24 @@ def test_metrics_records_have_expected_keys():
     assert MetricsRecord.from_json_line(line) == rec
 
 
+def test_older_metrics_line_with_a_skip_count_still_loads():
+    """Files written before the skip count went carry ``"skipped": 0``;
+    the reader ignores that key, as it ignores any unknown key."""
+    line = ('{"epoch": 3, "loss_df": 0.0, "loss_sup": 0.5, "reg_u": 0.25, '
+            '"loss_cl": 0.125, "loss_total": 0.875, "macro_f1": 0.5, '
+            '"micro_f1": 0.75, "train_macro_f1": 0.5, "train_micro_f1": 0.625, '
+            '"h_pass_rate": 0.5, "clamped": 2, "skipped": 0, "tau": [0.75, 0.5, 0.625], '
+            '"n_labeled": 10, "n_unlabeled": 30, "wall_clock_s": 0.5, '
+            '"is_summary": false}')
+    rec = MetricsRecord.from_json_line(line)
+    assert rec == MetricsRecord(epoch=3, loss_sup=0.5, reg_u=0.25, loss_cl=0.125,
+                                loss_total=0.875, macro_f1=0.5, micro_f1=0.75,
+                                train_macro_f1=0.5, train_micro_f1=0.625,
+                                h_pass_rate=0.5, clamped=2, tau=[0.75, 0.5, 0.625],
+                                n_labeled=10, n_unlabeled=30, wall_clock_s=0.5)
+    assert rec.to_json_line() == line.replace('"skipped": 0, ', "")
+
+
 def test_records_carry_clamp_and_skip_counts():
     ds = _blob_pl_dataset(n=40, seed=10)
     config = _tiny_config(ss_epochs=2)
@@ -371,8 +388,8 @@ def test_records_carry_clamp_and_skip_counts():
     ss_records = train_ss(ds, params, config, test_ds=ds)
     for rec in df_records + ss_records:
         assert type(rec.clamped) is int and rec.clamped >= 0
-        assert type(rec.skipped) is int and rec.skipped >= 0
-    assert all(rec.skipped == 0 for rec in df_records)
+        assert not hasattr(rec, "skipped")
+        assert "skipped" not in json.loads(rec.to_json_line())
 
 
 def test_saturated_model_reports_clamps():
