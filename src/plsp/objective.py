@@ -276,7 +276,8 @@ def _weak_branch(feats: np.ndarray, head: np.ndarray, stats: ClassCovStats,
     labels, the gated pseudo targets, their summed entropy and a report
     holding the gate counts (``sigma_inc``, ``h_pass_rate``), whose losses
     and clamp count the caller fills in. Raises ValueError on a row with no
-    candidate.
+    candidate, on non-finite weak-view logits, and on a non-finite score of
+    finite logits (so large that z * |z - 1| overflows).
     """
     batch = len(feats)
     n_classes = head.shape[0]
@@ -284,7 +285,13 @@ def _weak_branch(feats: np.ndarray, head: np.ndarray, stats: ClassCovStats,
     empty = np.flatnonzero(~candidates.any(axis=1))
     if empty.size:
         raise ValueError(f"row {empty[0]} has no candidate label")
-    sem = masked_argmax(cav_scores(feats @ head.T), candidates)
+    z = feats @ head.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = cav_scores(z)
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite logits" if not np.isfinite(z).all()
+                         else "non-finite weak-view scores")
+    sem = masked_argmax(scores, candidates)
     p_weak = probit_weak_probs(head, feats, stats.covs, lam, classes=sem)
 
     tau = np.asarray(tau, dtype=np.float64)

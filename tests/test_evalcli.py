@@ -6,12 +6,14 @@ import math
 import signal
 import struct
 
+import mcref
 import numpy as np
 import pytest
+from mcref import mc_softmax_mean, weak_branch_cases
 
 from plsp import evalcli
 from plsp.augment import AugmentSpec
-from plsp.evalcli import (MetricsRecord, _logit_factor, _mc_softmax_mean,
+from plsp.evalcli import (MetricsRecord, _logit_factor, _quadrature_softmax_mean,
                           beta_sup_errors, build_augment_spec, build_train_config,
                           check_lambda_zero, cli_main, macro_micro_f1, parse_config_file)
 from plsp.model import ClassifierParams, init_classifier, save_checkpoint
@@ -330,7 +332,7 @@ def _feature_space_mc_mean(a, chol, head, n_samples, rng):
 def test_mc_mean_agrees_with_the_feature_space_oracle(l, d):
     head, a, chol = _mc_case(l, d)
     n = 100_000
-    estimate = _mc_softmax_mean(a, chol, head, n, np.random.default_rng(1))
+    estimate = mc_softmax_mean(a, chol, head, n, np.random.default_rng(1))
     oracle = _feature_space_mc_mean(a, chol, head, n, np.random.default_rng(2))
     # per-coordinate standard deviation of one sample's softmax, from a
     # third, independent feature-space draw
@@ -351,7 +353,7 @@ def test_logit_factor_carries_the_logit_covariance(l, d):
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
 def test_chunked_mc_mean_matches_one_shot_draw(monkeypatch, chunk):
-    monkeypatch.setattr(evalcli, "MC_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(mcref, "MC_CHUNK_ROWS", chunk)
     n = 333  # a multiple of no chunk size but 1
     for l, d in [(3, 8), (10, 64)]:
         head, a, chol = _mc_case(l, d)
@@ -360,22 +362,43 @@ def test_chunked_mc_mean_matches_one_shot_draw(monkeypatch, chunk):
         logits = head @ a + one_shot_rng.standard_normal((n, f.shape[1])) @ f.T
         one_shot = softmax(logits, axis=1).mean(axis=0)
         chunked_rng = np.random.default_rng(5)
-        chunked = _mc_softmax_mean(a, chol, head, n, chunked_rng)
+        chunked = mc_softmax_mean(a, chol, head, n, chunked_rng)
         assert np.abs(chunked - one_shot).max() <= 1e-12 * np.abs(one_shot).max()
         assert chunked_rng.bit_generator.state == one_shot_rng.bit_generator.state
 
 
-def test_weak_branch_cases_do_not_depend_on_the_sample_count(monkeypatch):
-    real = evalcli.probit_weak_probs
-    calls = []
-    monkeypatch.setattr(evalcli, "probit_weak_probs",
-                        lambda *args: calls.append(args) or real(*args))
-    for n_samples in (1_000, 3_000):
-        evalcli.check_weak_branch(seed=0, n_samples=n_samples, n_cases=4)
-    assert len(calls) == 8
-    for few, many in zip(calls[:4], calls[4:]):
-        assert len(few) == len(many)
-        assert all(np.array_equal(x, y) for x, y in zip(few, many))
+def test_quadrature_agrees_with_the_mc_oracle():
+    """On the weak-branch check's seed-0 cases the Gauss–Hermite mean sits
+    within 5 standard errors of a 1M-draw Monte-Carlo mean, per coordinate."""
+    n = 1_000_000
+    draw_rng = np.random.default_rng([0, 1])
+    sd_rng = np.random.default_rng(3)
+    for head, a, _, _, chol in weak_branch_cases(seed=0):
+        exact = _quadrature_softmax_mean(a, chol, head)
+        estimate = mc_softmax_mean(a, chol, head, n, draw_rng)
+        # per-coordinate standard deviation of one sample's softmax, from
+        # an independent draw
+        logits = head @ a + sd_rng.standard_normal((20_000, a.size)) @ (head @ chol).T
+        se = softmax(logits, axis=1).std(axis=0) / math.sqrt(n)
+        assert np.all(np.abs(exact - estimate) <= 5.0 * se)
+
+
+def test_quadrature_has_converged_at_12_nodes():
+    for head, a, _, _, chol in weak_branch_cases(seed=0):
+        coarse = _quadrature_softmax_mean(a, chol, head, 12)
+        fine = _quadrature_softmax_mean(a, chol, head, 24)
+        assert np.abs(coarse - fine).max() <= 1e-14
+
+
+def test_weak_branch_cases_do_not_depend_on_the_sample_count(capsys):
+    lines = []
+    for n_samples in ("1000", "1000000"):
+        assert cli_main(["verify", "--instances", "1", "--bound-samples", "10",
+                         "--mc-samples", n_samples]) == 0
+        lines.append([ln for ln in capsys.readouterr().out.splitlines()
+                      if ln.startswith("PASS weak-branch:")])
+    assert len(lines[0]) == 1
+    assert lines[0] == lines[1]
 
 
 def _nan_on_call(monkeypatch, name: str, call: int) -> None:
@@ -395,8 +418,8 @@ def _nan_on_call(monkeypatch, name: str, call: int) -> None:
     (evalcli.check_bound_direction, "shifted_softmax_probs",
      {"seed": 0, "n_instances": 4, "n_samples": 500}),
     (evalcli.check_lambda_zero, "softmax", {"n_batches": 3}),
-    (evalcli.check_weak_branch, "_mc_softmax_mean",
-     {"seed": 0, "n_samples": 200_000, "n_cases": 3}),
+    (evalcli.check_weak_branch, "_quadrature_softmax_mean",
+     {"seed": 0, "n_samples": 1, "n_cases": 3}),
 ], ids=["bound-direction", "lambda-zero", "weak-branch"])
 def test_nan_in_one_case_fails_the_check(monkeypatch, check, name, kwargs):
     assert check(**kwargs).passed
@@ -523,13 +546,12 @@ def test_cli_sweep_k_reports_each_k(tmp_path, capsys):
 
 
 # the stdout of `verify --seed 0 --instances 6 --mc-samples 200000
-# --bound-samples 500` as a direct row-wise softmax of the same (rows, r)
-# logit draws prints it: the Monte-Carlo kernel may reorder its arithmetic,
-# not its report
+# --bound-samples 500`: the weak-branch line reports the worst error against
+# a 12-node Gauss–Hermite reference, which draws nothing
 VERIFY_SMALL_STDOUT = """\
 PASS bound-direction: 6/6 instances, min slack 2.668e-03 (K=500)
 PASS lambda-zero-reduction: max deviation 6.883e-15 (tol 1e-09)
-PASS weak-branch-mc: max per-coordinate rel err 0.0153 (tol 0.02, beta=0.6087, K=200000)
+PASS weak-branch: max per-coordinate rel err 0.0155 (tol 0.02, beta=0.6087, K=12)
 INFO beta-sup-error default: beta=0.587632 sup|sigmoid-Phi(beta x)|=0.009457
 INFO beta-sup-error relative: beta=0.608700 sup|sigmoid-Phi(beta x)|=0.013530
 INFO beta-sup-error slope-matched sqrt(pi/8): beta=0.626657 sup|sigmoid-Phi(beta x)|=0.017671
@@ -687,6 +709,20 @@ def test_generate_with_an_overflowing_separation_exits_4_writing_nothing(tmp_pat
         "generate", "--out", str(tmp_path / "out.plsp"),
         "--test-out", str(tmp_path / "out.test.plsp"), "--separation", "1e160"])
     assert "z-scored features are not finite" in error
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_with_an_overflowing_weak_jitter_exits_4_writing_nothing(tmp_path, capsys):
+    """A finite jitter so large that the weak view's activation-value scores
+    overflow stops the run, with no overflow warning and no output file."""
+    data = tmp_path / "d.plsp"
+    assert _run(["generate", "--out", str(data), "--n", "120", "--classes", "3"]) == 0
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        "train", "--data", str(data), *_outputs(tmp_path, "train"), "--hidden-dims", "8",
+        "--pretrain-epochs", "1", "--ss-epochs", "2", "--inner-iters", "3",
+        "--batch-labeled", "8", "--batch-unlabeled", "16", "--k", "5",
+        "--weak-jitter", "1e300"])
+    assert error == "non-finite weak-view scores"
 
 
 @pytest.mark.parametrize("classes,dim", [(6, 2), (4, 3)])

@@ -78,6 +78,22 @@ def test_traced_runs_see_the_training_loops(tmp_path, capsys):
     assert "trainer.train_ss" in within["model.predict"]  # trainer.f1_eval_s
 
 
+def test_traced_verify_sees_the_weak_branch_check(capsys):
+    """A tiny `verify` under the benchmark's tracer exits 0 and records the
+    weak-branch check, whose hook binds the check's parameters by name."""
+    spans = _load_spans()
+    modules = {name: importlib.import_module(f"plsp.{name}") for name in spans.LAYERS}
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    try:
+        with tracer.recording():
+            assert cli_main(["verify", "--instances", "1", "--mc-samples", "1000"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert "evalcli.weak_branch_check" in tracer.names
+
+
 def _imports_in_functions(node, module: str, where: str | None = None):
     """``module.function: name`` for each name imported inside a function
     body, the function being the innermost one around the import."""
