@@ -79,7 +79,7 @@ def _commands(out: Path):
             "sweep-k", "--data", p(f"{data}.plsp"), "--test", p(f"{data}-test.plsp"),
             "--ks", "0,20,400", "--out", p(f"sweep-k-{data}.jsonl"), *TRAIN]
     yield "verify", ["verify", "--seed", "0", "--instances", "6",
-                     "--mc-samples", "200000", "--bound-samples", "500"]
+                     "--mc-samples", "200000"]
 
 
 def _sha256(data: bytes) -> str:

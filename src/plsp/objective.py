@@ -8,7 +8,8 @@ weak and strong views, and a complementary penalty on non-candidate labels.
 
 The three semantic variants replace sampling from N(a, lam*Sigma_y) by the
 closed forms in :mod:`plsp.semstats`; ``mc_oracle_reg`` keeps the sampled
-estimator around as an independent check.
+estimator around for the tests, as an oracle independent of ``verify``'s
+exact Gauss–Hermite references.
 
 One step's three terms come from one graph (``semantic_batch_loss``): one
 forward over the stacked rows [labeled; unlabeled un-augmented; strong] and
@@ -452,7 +453,9 @@ def mc_oracle_reg(params: ClassifierParams, frozen: FrozenClassifier,
     label's covariance) and averages h * KL over all pairs. Also reports the
     strong-branch cross entropy under the closed-form pseudo target, which the
     shifted-softmax term must upper-bound, and returns that label and target
-    with the estimate. Test/verification use only.
+    with the estimate. Test use only: ``verify``'s bound-direction check
+    takes that cross entropy from an exact Gauss–Hermite sum, and the tests
+    hold the sum against this sampled estimate.
     """
     # looked up at call time: the span tracer patches semstats.sample_semantic
     from .semstats import sample_semantic

@@ -35,7 +35,7 @@ def _report(name: str, passed: bool, detail: str) -> None:
 
 def test_criterion_1_bound_direction():
     start = time.perf_counter()
-    res = check_bound_direction(seed=0, n_instances=51, n_samples=2000)
+    res = check_bound_direction(seed=0, n_instances=51)
     elapsed = time.perf_counter() - start
     _report("criterion-1 bound-direction",
             res.passed and elapsed < 60.0,
@@ -50,8 +50,7 @@ def test_criterion_2_weak_branch_quality():
     mc_err = mc_weak_branch_error(seed=0, n_samples=1_000_000)
     res = check_weak_branch(seed=0, n_samples=1)
     buf = io.StringIO()
-    run_verify(seed=0, n_instances=4, mc_samples=50_000, bound_samples=300,
-               out=buf)
+    run_verify(seed=0, n_instances=4, mc_samples=50_000, out=buf)
     report = buf.getvalue()
     elapsed = time.perf_counter() - start
     has_report = report.count("beta-sup-error") >= 3

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import signal
@@ -17,6 +18,7 @@ from plsp.evalcli import (MetricsRecord, _logit_factor, _quadrature_softmax_mean
                           beta_sup_errors, build_augment_spec, build_train_config,
                           check_lambda_zero, cli_main, macro_micro_f1, parse_config_file)
 from plsp.model import ClassifierParams, init_classifier, save_checkpoint
+from plsp.objective import mc_oracle_reg
 from plsp.pldata import PLDataset, generate_uss, read_dataset, write_dataset
 from plsp.tensorcore import Tensor, softmax
 from plsp.trainer import TrainConfig
@@ -390,10 +392,29 @@ def test_quadrature_has_converged_at_12_nodes():
         assert np.abs(coarse - fine).max() <= 1e-14
 
 
+def test_bound_reference_agrees_with_the_mc_oracle():
+    """On the first nine seed-0 bound-direction instances (three per
+    strength) the exact expected cross entropy sits within 5 standard errors
+    of ``mc_oracle_reg``'s 200k-draw strong-branch estimate, which samples
+    the 8-D features under the same label and target."""
+    rng = np.random.default_rng([0, 1])
+    for case in itertools.islice(evalcli._bound_cases(0, 51), 9):
+        _, exact = evalcli._bound_ces(*case)
+        est = mc_oracle_reg(*case, np.full(3, 0.75), 200_000, rng)
+        assert abs(exact - est.strong_ce) <= 5.0 * est.strong_ce_se
+
+
+def test_bound_reference_has_converged():
+    for case in evalcli._bound_cases(0, 51):
+        _, coarse = evalcli._bound_ces(*case, n_nodes=evalcli.BOUND_GH_NODES)
+        _, fine = evalcli._bound_ces(*case, n_nodes=2 * evalcli.BOUND_GH_NODES)
+        assert abs(coarse - fine) <= 1e-14 * fine
+
+
 def test_weak_branch_cases_do_not_depend_on_the_sample_count(capsys):
     lines = []
     for n_samples in ("1000", "1000000"):
-        assert cli_main(["verify", "--instances", "1", "--bound-samples", "10",
+        assert cli_main(["verify", "--instances", "1",
                          "--mc-samples", n_samples]) == 0
         lines.append([ln for ln in capsys.readouterr().out.splitlines()
                       if ln.startswith("PASS weak-branch:")])
@@ -416,7 +437,7 @@ def _nan_on_call(monkeypatch, name: str, call: int) -> None:
 
 @pytest.mark.parametrize("check,name,kwargs", [
     (evalcli.check_bound_direction, "shifted_softmax_probs",
-     {"seed": 0, "n_instances": 4, "n_samples": 500}),
+     {"seed": 0, "n_instances": 4}),
     (evalcli.check_lambda_zero, "softmax", {"n_batches": 3}),
     (evalcli.check_weak_branch, "_quadrature_softmax_mean",
      {"seed": 0, "n_samples": 1, "n_cases": 3}),
@@ -545,11 +566,11 @@ def test_cli_sweep_k_reports_each_k(tmp_path, capsys):
     capsys.readouterr()
 
 
-# the stdout of `verify --seed 0 --instances 6 --mc-samples 200000
-# --bound-samples 500`: the weak-branch line reports the worst error against
-# a 12-node Gauss–Hermite reference, which draws nothing
+# the stdout of `verify --seed 0 --instances 6 --mc-samples 200000`: both
+# sampled checks now take exact Gauss–Hermite references and draw nothing;
+# K= is the node count per axis
 VERIFY_SMALL_STDOUT = """\
-PASS bound-direction: 6/6 instances, min slack 2.668e-03 (K=500)
+PASS bound-direction: 6/6 instances, min slack 4.447e-04 (K=32)
 PASS lambda-zero-reduction: max deviation 6.883e-15 (tol 1e-09)
 PASS weak-branch: max per-coordinate rel err 0.0155 (tol 0.02, beta=0.6087, K=12)
 INFO beta-sup-error default: beta=0.587632 sup|sigmoid-Phi(beta x)|=0.009457
@@ -561,16 +582,14 @@ INFO beta-sup-error pi^2/8: beta=1.233701 sup|sigmoid-Phi(beta x)|=0.162521
 
 def test_cli_verify_small_run(capsys):
     code = _run(["verify", "--seed", "0", "--instances", "6",
-                 "--mc-samples", "200000", "--bound-samples", "500"])
+                 "--mc-samples", "200000"])
     out = capsys.readouterr().out
     assert code == 0, out
     assert out == VERIFY_SMALL_STDOUT
 
 
 @pytest.mark.parametrize("flag,value", [("--instances", "0"), ("--instances", "-3"),
-                                        ("--mc-samples", "0"), ("--mc-samples", "-1"),
-                                        ("--bound-samples", "0"),
-                                        ("--bound-samples", "-1")])
+                                        ("--mc-samples", "0"), ("--mc-samples", "-1")])
 def test_cli_verify_exit_4_on_count_below_one(capsys, flag, value):
     assert _run(["verify", flag, value]) == 4
     captured = capsys.readouterr()
@@ -578,6 +597,13 @@ def test_cli_verify_exit_4_on_count_below_one(capsys, flag, value):
     error = json.loads(captured.err)
     assert error["code"] == 4
     assert flag[2:].replace("-", "_") in error["error"]
+
+
+def test_removed_bound_samples_flag_exits_2(capsys):
+    assert _run(["verify", "--bound-samples", "500"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bound-samples" in captured.err
 
 
 def test_cli_non_finite_metric_exits_4_and_leaves_no_stream(tmp_path, monkeypatch, capsys):
