@@ -89,7 +89,8 @@ def update_cov_stats(stats: ClassCovStats, features: np.ndarray,
     covariance becomes (m_old * cov + d^T d) / total - s s^T and the mean
     mu + s, the pooled population moments of old and new rows. Both
     products are exactly symmetric, so the covariance stays so. Classes
-    absent from the batch are untouched.
+    absent from the batch are untouched. A label outside [0, n_classes)
+    raises ValueError before anything changes.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -97,7 +98,7 @@ def update_cov_stats(stats: ClassCovStats, features: np.ndarray,
         raise ValueError("feature dimension mismatch")
     if features.shape[0] != labels.shape[0]:
         raise ValueError("feature/label counts differ")
-    if labels.size and labels.max() >= stats.n_classes:
+    if labels.size and (labels.min() < 0 or labels.max() >= stats.n_classes):
         raise ValueError("class label out of range")
     order = np.argsort(labels, kind="stable")
     classes, starts, sizes = np.unique(labels[order], return_index=True,

@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from plsp.evalcli import _logit_factor, _weak_branch_case
+from plsp.evalcli import _weak_branch_case
 from plsp.semstats import BETA_RELATIVE, probit_weak_probs
 
 # Rows per block of draws: bounds the oracle's memory at a few MB (the
 # (rows, r) block of normals plus an (l, rows) block of logits) whatever the
 # sample count.
 MC_CHUNK_ROWS = 65_536
+
+
+def _logit_factor(head: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """An (l, r) matrix F with F @ F.T == W @ W.T for W = head @ chol, where
+    r = min(l, d): F = R.T for the R of W.T's QR factorisation."""
+    return np.linalg.qr((head @ chol).T, mode="r").T
 
 
 def mc_softmax_mean(a: np.ndarray, chol: np.ndarray, head: np.ndarray,

@@ -10,15 +10,15 @@ import struct
 import mcref
 import numpy as np
 import pytest
-from mcref import mc_softmax_mean, weak_branch_cases
+from mcref import _logit_factor, mc_softmax_mean, weak_branch_cases
 
 from plsp import evalcli
 from plsp.augment import AugmentSpec
-from plsp.evalcli import (MetricsRecord, _logit_factor, _quadrature_softmax_mean,
-                          beta_sup_errors, build_augment_spec, build_train_config,
-                          check_lambda_zero, cli_main, macro_micro_f1, parse_config_file)
+from plsp.evalcli import (MetricsRecord, _quadrature_softmax_mean, beta_sup_errors,
+                          build_augment_spec, build_train_config, check_lambda_zero,
+                          cli_main, macro_micro_f1, parse_config_file)
 from plsp.model import ClassifierParams, init_classifier, save_checkpoint
-from plsp.objective import mc_oracle_reg
+from plsp.objective import LOG_EPS, mc_oracle_reg
 from plsp.pldata import PLDataset, generate_uss, read_dataset, write_dataset
 from plsp.tensorcore import Tensor, softmax
 from plsp.trainer import TrainConfig
@@ -375,21 +375,14 @@ def test_quadrature_agrees_with_the_mc_oracle():
     n = 1_000_000
     draw_rng = np.random.default_rng([0, 1])
     sd_rng = np.random.default_rng(3)
-    for head, a, _, _, chol in weak_branch_cases(seed=0):
-        exact = _quadrature_softmax_mean(a, chol, head)
+    for head, a, cov, lam, chol in weak_branch_cases(seed=0):
+        exact = _quadrature_softmax_mean(head, a, cov, lam)
         estimate = mc_softmax_mean(a, chol, head, n, draw_rng)
         # per-coordinate standard deviation of one sample's softmax, from
         # an independent draw
         logits = head @ a + sd_rng.standard_normal((20_000, a.size)) @ (head @ chol).T
         se = softmax(logits, axis=1).std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(exact - estimate) <= 5.0 * se)
-
-
-def test_quadrature_has_converged_at_12_nodes():
-    for head, a, _, _, chol in weak_branch_cases(seed=0):
-        coarse = _quadrature_softmax_mean(a, chol, head, 12)
-        fine = _quadrature_softmax_mean(a, chol, head, 24)
-        assert np.abs(coarse - fine).max() <= 1e-14
 
 
 def test_bound_reference_agrees_with_the_mc_oracle():
@@ -404,11 +397,61 @@ def test_bound_reference_agrees_with_the_mc_oracle():
         assert abs(exact - est.strong_ce) <= 5.0 * est.strong_ce_se
 
 
-def test_bound_reference_has_converged():
-    for case in evalcli._bound_cases(0, 51):
-        _, coarse = evalcli._bound_ces(*case, n_nodes=evalcli.BOUND_GH_NODES)
-        _, fine = evalcli._bound_ces(*case, n_nodes=2 * evalcli.BOUND_GH_NODES)
-        assert abs(coarse - fine) <= 1e-14 * fine
+def _weak_branch_references():
+    return [_quadrature_softmax_mean(head, a, cov, lam)
+            for head, a, cov, lam, _ in weak_branch_cases(seed=0)]
+
+
+def _bound_references():
+    return [evalcli._bound_ces(*case)[1] for case in evalcli._bound_cases(0, 51)]
+
+
+@pytest.mark.parametrize("references,atol,rtol", [
+    (_weak_branch_references, 1e-14, 0.0),
+    (_bound_references, 0.0, 1e-14),
+], ids=["weak-branch", "bound-direction"])
+def test_reference_has_converged(monkeypatch, references, atol, rtol):
+    """Each exact reference on its seed-0 cases moves by no more than the
+    tolerance when the grid's node count doubles."""
+    coarse = references()
+    monkeypatch.setattr(evalcli, "GH_NODES", 2 * evalcli.GH_NODES)
+    fine = references()
+    for c, f in zip(coarse, fine, strict=True):
+        assert np.all(np.abs(c - f) <= atol + rtol * np.abs(f))
+
+
+@pytest.mark.parametrize("n", [3, evalcli.GH_NODES])
+def test_gauss_hermite_grid_reproduces_normal_moments(n):
+    """The weights sum to 1 and reproduce N(0, I)'s moments up to degree
+    2n - 1 in each coordinate."""
+    (g1, g2), w = evalcli._gauss_hermite_grid(n, 2)
+    expected = {"1": (np.ones_like(w), 1.0), "g1^2": (g1 ** 2, 1.0),
+                "g2^4": (g2 ** 4, 3.0), "g1^2 g2^2": (g1 ** 2 * g2 ** 2, 1.0),
+                "g1": (g1, 0.0), "g1 g2": (g1 * g2, 0.0), "g2^3": (g2 ** 3, 0.0),
+                "g1^5": (g1 ** 5, 0.0), "g1^3 g2^2": (g1 ** 3 * g2 ** 2, 0.0)}
+    errors = {name: abs(float(f @ w) - want) for name, (f, want) in expected.items()}
+    assert max(errors.values()) <= 1e-13, errors
+    assert abs(evalcli._gauss_hermite_grid(n, 3)[1].sum() - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("l,d", [(2, 5), (3, 8)])
+@pytest.mark.parametrize("zero", ["cov", "lam"])
+def test_references_reduce_to_the_plain_terms_without_spread(l, d, zero):
+    """With no semantic spread (cov = 0 or lam = 0) the expected softmax is
+    the plain softmax and the expected clamped cross entropy the plain one,
+    up to the rounding of a sum over the grid's 32 ** (l - 1) points (a few
+    ulps of max(1, value))."""
+    rng = np.random.default_rng(l)
+    head = rng.standard_normal((l, d))
+    a = rng.standard_normal(d) * 2.0
+    cov = np.cov(rng.standard_normal((40, d)).T, bias=True)
+    cov, lam = (np.zeros((d, d)), 0.05) if zero == "cov" else (cov, 0.0)
+    target = rng.dirichlet(np.ones(l))
+    probs = softmax(head @ a, axis=0)
+    plain_ce = float(-target @ np.maximum(np.log(probs), LOG_EPS))
+    assert np.abs(_quadrature_softmax_mean(head, a, cov, lam) - probs).max() <= 1e-14
+    exact_ce = evalcli._quadrature_clamped_ce(head, a, cov, lam, target)
+    assert abs(exact_ce - plain_ce) <= 1e-14 * max(1.0, plain_ce)
 
 
 def test_weak_branch_cases_do_not_depend_on_the_sample_count(capsys):
@@ -567,12 +610,12 @@ def test_cli_sweep_k_reports_each_k(tmp_path, capsys):
 
 
 # the stdout of `verify --seed 0 --instances 6 --mc-samples 200000`: both
-# sampled checks now take exact Gauss–Hermite references and draw nothing;
-# K= is the node count per axis
+# checks take exact Gauss–Hermite references over the centred logits and
+# draw nothing; K= is the node count per axis, one for both grids
 VERIFY_SMALL_STDOUT = """\
 PASS bound-direction: 6/6 instances, min slack 4.447e-04 (K=32)
 PASS lambda-zero-reduction: max deviation 6.883e-15 (tol 1e-09)
-PASS weak-branch: max per-coordinate rel err 0.0155 (tol 0.02, beta=0.6087, K=12)
+PASS weak-branch: max per-coordinate rel err 0.0155 (tol 0.02, beta=0.6087, K=32)
 INFO beta-sup-error default: beta=0.587632 sup|sigmoid-Phi(beta x)|=0.009457
 INFO beta-sup-error relative: beta=0.608700 sup|sigmoid-Phi(beta x)|=0.013530
 INFO beta-sup-error slope-matched sqrt(pi/8): beta=0.626657 sup|sigmoid-Phi(beta x)|=0.017671

@@ -120,6 +120,14 @@ def test_dimension_mismatch():
         update_cov_stats(stats, np.ones((2, 4)), np.array([0, 1]))
 
 
+@pytest.mark.parametrize("labels", [[-1, -1], [0, -3], [2, 1]])
+def test_label_out_of_range_is_rejected_and_changes_nothing(labels):
+    stats = ClassCovStats(2, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        update_cov_stats(stats, np.ones((2, 3)), np.array(labels))
+    assert stats.counts.tolist() == [0, 0]
+
+
 # -- semantic sampling ---------------------------------------------------------
 
 def test_sample_zero_strength_is_exact_identity():
