@@ -12,8 +12,7 @@ from .pldata import (PLDataset, generate_fps, generate_uss, make_blobs,
 from .model import (ClassifierParams, extract_features, init_classifier,
                     load_checkpoint, save_checkpoint, snapshot_frozen)
 from .semstats import (ClassCovStats, DEFAULT_BETA, probit_weak_probs,
-                       sample_semantic, shifted_softmax_probs, std_normal_cdf,
-                       update_cov_stats)
+                       sample_semantic, shifted_softmax_probs, update_cov_stats)
 from .objective import (BatchLossReport, PseudoSplit, build_pseudo_split,
                         cav_scores, loss_df, loss_complementary_semantic,
                         loss_sup_semantic, mc_oracle_reg,
@@ -28,7 +27,7 @@ __all__ = [
     "ClassifierParams", "extract_features", "init_classifier",
     "load_checkpoint", "save_checkpoint", "snapshot_frozen",
     "ClassCovStats", "DEFAULT_BETA", "probit_weak_probs", "sample_semantic",
-    "shifted_softmax_probs", "std_normal_cdf", "update_cov_stats",
+    "shifted_softmax_probs", "update_cov_stats",
     "BatchLossReport", "PseudoSplit", "build_pseudo_split", "cav_scores",
     "loss_df", "loss_complementary_semantic", "loss_sup_semantic",
     "mc_oracle_reg", "reg_consistency_semantic",

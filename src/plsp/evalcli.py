@@ -26,8 +26,8 @@ from .objective import (LOG_EPS, loss_complementary_semantic, loss_sup_semantic,
 # (perfbench/spans.py) patches this name in this module.
 from .objective import mc_oracle_reg  # noqa: F401
 from .semstats import (BETA_PI_SQ_OVER_8, BETA_RELATIVE, BETA_SLOPE_MATCHED,
-                       ClassCovStats, DEFAULT_BETA, probit_weak_probs,
-                       shifted_softmax_probs, std_normal_cdf, update_cov_stats)
+                       ClassCovStats, DEFAULT_BETA, normal_tail, probit_weak_probs,
+                       shifted_softmax_probs, update_cov_stats)
 from .tensorcore import softmax
 from .trainer import (MetricsRecord, TrainConfig, macro_micro_f1, new_classifier,
                       pretrain, train_df_baseline, train_ss)
@@ -46,15 +46,17 @@ class CheckResult:
 
 
 def beta_sup_errors(grid: int = 40001) -> list[tuple[str, float, float]]:
-    """Sup |sigmoid(x) - Phi(beta*x)| over [-8, 8] for the slope candidates."""
-    x = np.linspace(-8.0, 8.0, grid)
+    """Sup |sigmoid(x) - Phi(beta*x)| over [-8, 8] for the slope candidates,
+    read on [-8, 0] (both functions map x to 1 - f(-x)) from the first half
+    of a ``grid``-point grid; beta * 8 stays inside ``normal_tail``'s domain."""
+    x = np.linspace(-8.0, 0.0, grid // 2 + 1)
     sig = 1.0 / (1.0 + np.exp(-x))
     out = []
     for name, beta in [("default", DEFAULT_BETA),
                        ("relative", BETA_RELATIVE),
                        ("slope-matched sqrt(pi/8)", BETA_SLOPE_MATCHED),
                        ("pi^2/8", BETA_PI_SQ_OVER_8)]:
-        err = float(np.max(np.abs(sig - std_normal_cdf(beta * x))))
+        err = float(np.max(np.abs(sig - normal_tail(-beta * x))))
         out.append((name, beta, err))
     return out
 
@@ -120,7 +122,8 @@ GH_NODES = 32
 WEAK_BRANCH_REL_TOL = 0.02
 
 
-@functools.lru_cache(maxsize=None)
+# verify reads one grid; a node-count doubling needs a second beside it
+@functools.lru_cache(maxsize=2)
 def _gauss_hermite_grid(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``n ** dim`` points of a probabilists' Gauss–Hermite grid
     as (dim, points) and their weights, which sum to 1; read-only, as they

@@ -130,16 +130,33 @@ def generate_fps(truth_labels: np.ndarray, l: int, q: float,
     return masks
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, n) Euclidean distances between the rows of a (m, d) and b (n, d)."""
+    return np.sqrt(sum((a[:, k, None] - b[:, k]) ** 2 for k in range(a.shape[1])))
+
+
 def _place_centers(l: int, d: int, separation: float, rng: np.random.Generator) -> np.ndarray:
+    """l points in [0, side)^d at least ``separation`` apart: each candidate,
+    one uniform draw, is kept if far enough from every point kept before it,
+    and after 1000 l candidates the box widens by 1.5 and the search
+    restarts. Candidates are drawn and screened a block at a time; the rng
+    ends where drawing them one by one up to the last one kept would leave it."""
     side = separation * (np.ceil(l ** (1.0 / d)) + 1.0)
+    block = max(1, 2 ** 18 // (l * d))       # a block holds <= 2**18 / d distances
     while True:
-        centers: list[np.ndarray] = []
-        for _ in range(1000 * l):
-            cand = rng.uniform(0.0, side, size=d)
-            if all(np.linalg.norm(cand - c) >= separation for c in centers):
-                centers.append(cand)
-                if len(centers) == l:
-                    return np.stack(centers)
+        kept = np.empty((0, d))
+        for start in range(0, 1000 * l, block):
+            state = rng.bit_generator.state
+            cand = rng.uniform(0.0, side, size=(min(block, 1000 * l - start), d))
+            far = np.all(_distances(cand, kept) >= separation, axis=1)
+            for i in np.flatnonzero(far):
+                if far[i]:                   # also far from this block's earlier keeps
+                    kept = np.vstack([kept, cand[i]])
+                    if len(kept) == l:
+                        rng.bit_generator.state = state     # give back the unused rest
+                        rng.uniform(0.0, side, size=(i + 1, d))
+                        return kept
+                    far &= _distances(cand, cand[i:i + 1])[:, 0] >= separation
         side *= 1.5  # box too tight, widen and retry
 
 

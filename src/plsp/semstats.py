@@ -11,9 +11,10 @@ with class-conditional covariance Sigma_y. Two closed forms avoid sampling:
   generating function, which just adds lam/2 * quadratic-form shifts to the
   competing logits.
 
-The normal CDF Phi is ``std_normal_cdf``, a numpy port of cephes' ``ndtr``
-(the routine behind ``scipy.special.ndtr``), so the package needs numpy
-alone.
+The probit reads Phi only as a lower tail Phi(-u), u >= 0, and takes it from
+``normal_tail``, a numpy port of the part of cephes' ``ndtr`` (the routine
+behind ``scipy.special.ndtr``) that covers 0 <= u < 8 sqrt(2), so the
+package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ BETA_PI_SQ_OVER_8 = math.pi ** 2 / 8.0
 _PHI_CLAMP = 1e-12
 
 # Cephes ndtr.c (S. L. Moshier): erf(x) = x T(x^2) / U(x^2) for |x| < 1, and
-# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, exp(-x^2) R(x) / S(x)
-# beyond, 0 once x^2 > MAXLOG. Coefficients run from the highest power down;
-# U, Q and S have an implicit leading 1.
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8. Coefficients run from the
+# highest power down; U and Q have an implicit leading 1.
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
           7.00332514112805075473e3, 5.55923013010394962768e4)
 _ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
@@ -51,11 +51,6 @@ _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.463210564422
 _ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_MAXLOG = 7.09782712893383996843e2
 _SQRT1_2 = math.sqrt(0.5)
 
 
@@ -158,43 +153,24 @@ def _ratio(num: tuple, den: tuple, x: np.ndarray, scale: np.ndarray) -> np.ndarr
     return scale
 
 
-def std_normal_cdf(a):
-    """Standard normal CDF Phi, elementwise over an array or a scalar.
+def normal_tail(u: np.ndarray) -> np.ndarray:
+    """Lower normal tail Phi(-u) = erfc(u / sqrt(2)) / 2, elementwise, for an
+    array u with 0 <= u < 8 sqrt(2); NaN gives NaN, and values outside that
+    domain are not checked and come out wrong.
 
-    A numpy port of cephes' ``ndtr`` that keeps its order of operations.
-    With x = a / sqrt(2): 0.5 + 0.5 erf(x) for |x| < sqrt(1/2); otherwise
-    y = 0.5 erfc(|x|), and 1 - y for x > 0. Every branch runs over the whole
-    array at clipped arguments, so each value is finite, and an exact 0/1
-    blend picks the right one; only erfc's R/S tail (|x| >= 8) runs on its
-    own rows, and only when there are any. Measured against
-    ``scipy.special.ndtr``: bit for bit on about 98% of inputs, within 4 ulp
-    on the rest; 0, 1 and NaN where it gives them.
+    The part of cephes' ``ndtr`` that covers the domain, in its order of
+    operations: with x = u / sqrt(2), 0.5 (1 - erf(x)) below 1 and
+    0.5 erfc(x) from 1 on. (Below sqrt(1/2) cephes takes 0.5 + 0.5 erf(-x),
+    the same double, as halving is exact.) Both rational forms run over the
+    whole array at clipped arguments, so each is finite. Within 4 ulp of
+    ``scipy.special.ndtr(-u)``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    x = a.reshape(-1) * _SQRT1_2
-    z = np.abs(x)
-    t = np.minimum(z, 1.0)
-    erf = _ratio(_ERF_T, _ERF_U, t * t, t)              # erf(min(|x|, 1))
-    c = np.maximum(z, 1.0)
-    np.minimum(c, 8.0, out=c)
-    erfc = _ratio(_ERFC_P, _ERFC_Q, c, np.exp(np.multiply(-c, c)))  # at clip(|x|, 1, 8)
-    if not z.max(initial=0.0) < 8.0:                    # a NaN max lands here too
-        far = z >= 8.0
-        zf = np.minimum(z[far], 27.0)                   # 27^2 > MAXLOG already
-        beyond = _ratio(_ERFC_R, _ERFC_S, zf, np.exp(np.multiply(-zf, zf)))
-        beyond[zf * zf > _MAXLOG] = 0.0
-        erfc[far] = beyond
-    below_one = z < 1.0
-    erfc *= ~below_one
-    erfc += (1.0 - erf) * below_one                     # erfc(|x|)
-    erfc *= 0.5
-    tail = np.subtract(x > 0, np.copysign(erfc, x))     # 0.5 erfc, 1 minus it for x > 0
-    small = z < _SQRT1_2
-    y = 0.5 + 0.5 * np.copysign(erf, x)
-    y *= small
-    tail *= ~small
-    y += tail
-    return y.reshape(a.shape)[()]
+    x = u * _SQRT1_2
+    t = np.minimum(x, 1.0)
+    erf = _ratio(_ERF_T, _ERF_U, t * t, t)              # erf(min(x, 1))
+    c = np.minimum(np.maximum(x, 1.0), 8.0)
+    erfc = _ratio(_ERFC_P, _ERFC_Q, c, np.exp(np.multiply(-c, c)))  # at clip(x, 1, 8)
+    return 0.5 * np.where(x < 1.0, 1.0 - erf, erfc)
 
 
 def pairwise_quadratic(head: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -215,9 +191,10 @@ def probit_weak_probs(head: np.ndarray, feats: np.ndarray, cov: np.ndarray,
     (d_f, d_f) covariance, or, with ``classes``, row i takes ``cov[classes[i]]``
     from a (K, d_f, d_f) stack. Row i's class j gets
     1 / (2 - l + sum_{j' != j} 1 / Phi(beta (z_j - z_j') / s_jj')), each Phi
-    clipped to [1e-12, 1 - 1e-12]; one ``std_normal_cdf`` value per unordered
-    pair gives both Phi(x) and Phi(-x). The raw map can leave the simplex when Phi
-    terms are tiny, so the result is clamped to >= 0 and renormalized to sum 1.
+    clipped to [1e-12, 1 - 1e-12]; one ``normal_tail`` value Phi(-|x|) per
+    unordered pair gives both Phi(x) and Phi(-x). The raw map can leave the
+    simplex when Phi terms are tiny, so the result is clamped to >= 0 and
+    renormalized to sum 1.
     """
     head = np.asarray(head, dtype=np.float64)
     feats = np.asarray(feats, dtype=np.float64)
@@ -232,17 +209,17 @@ def probit_weak_probs(head: np.ndarray, feats: np.ndarray, cov: np.ndarray,
     quad = pairwise_quadratic(head, cov)[..., upper, lower]     # (P,) or (K, P)
     scale = np.sqrt(np.maximum(1.0 + lam * beta * beta * quad, _PHI_CLAMP))
     scale = scale if classes is None else scale[classes]
-    x = beta * (z[:, upper] - z[:, lower]) / scale             # (B, P)
-    # Phi computes a positive argument x >= 1 as 1 - Phi(-x), so one value per
-    # pair gives both directions (below 1 they agree to rounding). Beyond
-    # |x| = 8 both directions end at the clip, so the argument stops there.
-    tail = std_normal_cdf(-np.minimum(np.abs(x), 8.0))
-    # exact 0/1 blends: x > 0 takes (1 - tail, tail), x < 0 (tail, 1 - tail),
-    # and x = +-0 has tail = 0.5 both ways
-    negative = np.signbit(x)
-    signed = np.copysign(tail, x)
-    phi_up = np.clip(~negative - signed, _PHI_CLAMP, 1.0 - _PHI_CLAMP)
-    phi_low = np.clip(negative + signed, _PHI_CLAMP, 1.0 - _PHI_CLAMP)
+    # (B, P) in C order: the fancy index leaves it column-major, and the
+    # layout sets the order in which the matmuls below add each row's terms
+    x = np.ascontiguousarray(beta * (z[:, upper] - z[:, lower]) / scale)
+    # One lower tail per pair gives both directions: Phi(-|x|) and
+    # 1 - Phi(-|x|), the order set by the sign of x (x = +-0 gives 0.5 both
+    # ways). Beyond |x| = 8 both directions end at the clip, so the argument
+    # stops there.
+    tail = normal_tail(np.minimum(np.abs(x), 8.0))
+    negative, flip = np.signbit(x), 1.0 - tail
+    phi_up = np.clip(np.where(negative, tail, flip), _PHI_CLAMP, 1.0 - _PHI_CLAMP)
+    phi_low = np.clip(np.where(negative, flip, tail), _PHI_CLAMP, 1.0 - _PHI_CLAMP)
     pick = np.eye(n_classes)
     # sum over j' != j of 1/Phi(beta (z_j - z_j') / s_jj'); the j' = j term is 2
     den = (2.0 - n_classes) + (1.0 / phi_up) @ pick[upper] + (1.0 / phi_low) @ pick[lower]

@@ -11,6 +11,7 @@ import mcref
 import numpy as np
 import pytest
 from mcref import _logit_factor, mc_softmax_mean, weak_branch_cases
+from scipy.special import ndtr
 
 from plsp import evalcli
 from plsp.augment import AugmentSpec
@@ -309,6 +310,21 @@ def test_beta_report_contains_candidates():
     assert default_err < 0.0095 + 1e-3
 
 
+def test_beta_report_matches_two_sided_sup():
+    """The report reads the [-8, 0] half of the grid; the sup over the whole
+    [-8, 8] grid, with scipy's two-sided ndtr, is the same to rounding."""
+    x = np.linspace(-8.0, 8.0, 40001)
+    sig = 1.0 / (1.0 + np.exp(-x))
+    for _, beta, err in beta_sup_errors():
+        assert abs(err - np.abs(sig - ndtr(beta * x)).max()) < 1e-15
+
+
+def test_beta_report_stays_in_the_tail_domain():
+    # normal_tail takes 0 <= u < 8 sqrt(2); the report evaluates it at beta * 8
+    for _, beta, _ in beta_sup_errors(grid=41):
+        assert 0.0 < beta * 8.0 < 8.0 * math.sqrt(2.0)
+
+
 def test_lambda_zero_check_passes():
     res = check_lambda_zero(seed=1)
     assert res.passed, res.detail
@@ -432,6 +448,20 @@ def test_gauss_hermite_grid_reproduces_normal_moments(n):
     errors = {name: abs(float(f @ w) - want) for name, (f, want) in expected.items()}
     assert max(errors.values()) <= 1e-13, errors
     assert abs(evalcli._gauss_hermite_grid(n, 3)[1].sum() - 1.0) <= 1e-13
+
+
+def test_gauss_hermite_cache_is_bounded():
+    """The grid cache keeps verify's grid and its node-count doubling, and
+    drops the oldest grid past that."""
+    grid = evalcli._gauss_hermite_grid
+    grid.cache_clear()
+    for _ in range(3):
+        grid(evalcli.GH_NODES, 2)
+        grid(2 * evalcli.GH_NODES, 2)
+    assert grid.cache_info().misses == 2
+    for n in range(2, 12):
+        grid(n, 3)
+    assert grid.cache_info().currsize == grid.cache_info().maxsize == 2
 
 
 @pytest.mark.parametrize("l,d", [(2, 5), (3, 8)])

@@ -6,9 +6,9 @@ import pytest
 from scipy.special import ndtr
 
 from plsp.semstats import (BETA_RELATIVE, ClassCovStats, DEFAULT_BETA,
-                           pairwise_quadratic, probit_weak_probs,
+                           normal_tail, pairwise_quadratic, probit_weak_probs,
                            sample_semantic, shifted_softmax_probs,
-                           std_normal_cdf, update_cov_stats)
+                           update_cov_stats)
 from plsp.tensorcore import softmax
 
 
@@ -159,7 +159,11 @@ def test_sample_rejects_asymmetric():
                         np.random.default_rng(0))
 
 
-# -- normal cdf ------------------------------------------------------------------
+# -- normal tail -----------------------------------------------------------------
+
+# normal_tail's domain is 0 <= u < TAIL_END
+TAIL_END = 8.0 * math.sqrt(2.0)
+
 
 def _phi_series(z: float) -> float:
     """Taylor series of erf around 0, enough terms for |z| <= 4."""
@@ -173,49 +177,50 @@ def _phi_series(z: float) -> float:
 
 
 def test_cdf_examples():
-    assert std_normal_cdf(0.0) == 0.5
-    z = np.linspace(-6, 6, 241)
-    assert np.abs(std_normal_cdf(z) + std_normal_cdf(-z) - 1.0).max() < 1e-12
-    assert abs(std_normal_cdf(1.96) - 0.9750021) < 1e-6
+    assert normal_tail(np.array([0.0]))[0] == 0.5
+    assert abs(normal_tail(np.array([1.96]))[0] - 0.0249979) < 1e-6
+    tail = normal_tail(np.linspace(0.0, TAIL_END, 1001, endpoint=False))
+    assert np.all(np.diff(tail) < 0.0)
 
 
 def test_cdf_against_series_oracle():
-    for z in np.linspace(-4, 4, 33):
-        assert abs(std_normal_cdf(float(z)) - _phi_series(float(z))) < 1e-12
+    u = np.linspace(0, 4, 17)
+    for got, z in zip(normal_tail(u), u):
+        assert abs(got - _phi_series(-float(z))) < 1e-12
 
 
 def test_cdf_against_erf_reference():
-    for z in np.linspace(-8, 8, 65):
-        ref = 0.5 * math.erfc(-float(z) / math.sqrt(2.0))
-        assert abs(std_normal_cdf(float(z)) - ref) < 1e-12
+    u = np.linspace(0, 8, 33)
+    for got, z in zip(normal_tail(u), u):
+        assert abs(got - 0.5 * math.erfc(float(z) / math.sqrt(2.0))) < 1e-12
 
 
-def _cdf_accuracy_inputs():
+def _tail_accuracy_inputs():
     rng = np.random.default_rng(31)
-    yield np.linspace(-40.0, 40.0, 800_001)
-    yield np.linspace(-38.5, -37.0, 100_001)          # Phi subnormal or near it
-    yield np.array([np.inf, -np.inf, 0.0, -0.0, np.nan, 5e-324, -5e-324,
-                    2.2e-308, -2.2e-308, 1e308, -1e308])
-    for scale in (1.0, 6.0, 25.0):
+    yield np.linspace(0.0, TAIL_END, 800_001, endpoint=False)
+    # cephes switches branch at x = u / sqrt(2) = sqrt(1/2) and at x = 1
+    for edge in (1.0, math.sqrt(2.0)):
+        yield edge + np.arange(-50, 51) * math.ulp(edge)
+    yield np.array([0.0, 5e-324, 2.2e-308, 1e-300, 1e-8, np.nextafter(TAIL_END, 0.0)])
+    for scale in (1.0, 3.0, 6.0):
         for _ in range(5):
-            yield rng.standard_normal(200_000) * scale
+            u = np.abs(rng.standard_normal(200_000)) * scale
+            yield u[u < TAIL_END]
 
 
 def test_cdf_matches_scipy_ndtr_to_4_ulp():
-    """The numpy port against scipy.special.ndtr: within 4 ulp wherever
-    scipy's value is >= 1e-300, exactly 0 and 1 where scipy gives them, NaN
-    for NaN, and no RuntimeWarning."""
+    """normal_tail(u) against scipy.special.ndtr(-u) on [0, 8 sqrt(2)): within
+    4 ulp where scipy's value is >= 1e-300 (everywhere: the smallest is about
+    6e-30), NaN for NaN, and no RuntimeWarning."""
     worst = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a in _cdf_accuracy_inputs():
-            got, ref = std_normal_cdf(a), ndtr(a)
-            assert np.array_equal(np.isnan(got), np.isnan(a))
-            assert np.array_equal(got == 0.0, ref == 0.0)
-            assert np.array_equal(got == 1.0, ref == 1.0)
-            normal = ref >= 1e-300
-            ulps = np.abs(got[normal].view(np.int64) - ref[normal].view(np.int64))
-            worst = max(worst, int(ulps.max(initial=0)))
+        for u in _tail_accuracy_inputs():
+            got, ref = normal_tail(u), ndtr(-u)
+            assert ref.min() >= 1e-300
+            worst = max(worst, int(np.abs(got.view(np.int64) - ref.view(np.int64)).max()))
+        got = normal_tail(np.array([np.nan, 1.0, np.nan]))
+    assert np.array_equal(np.isnan(got), [True, False, True])
     assert worst <= 4
 
 
@@ -238,7 +243,7 @@ def test_probit_lambda_zero_two_class_is_probit_of_margin():
     a = np.array([0.8, -0.3])
     p = probit_weak_probs(head, a, np.zeros((2, 2)), 0.0)
     margin = head[0] @ a - head[1] @ a
-    assert abs(p[0] - std_normal_cdf(DEFAULT_BETA * margin)) < 1e-12
+    assert abs(p[0] - ndtr(DEFAULT_BETA * margin)) < 1e-12
 
 
 def test_probit_close_to_softmax_at_lambda_zero():
