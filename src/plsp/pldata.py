@@ -72,7 +72,9 @@ class PLDataset:
         if np.any(sizes < 1) or np.any(sizes > self.l - 1):
             raise MaskInvariantError("candidate sets must satisfy 1 <= |C| <= l-1")
         if self.truth is not None:
-            if np.any(self.truth >= self.l):
+            if self.truth.shape != (self.n,):
+                raise ValueError(f"truth has shape {self.truth.shape}, need ({self.n},)")
+            if np.any(self.truth < 0) or np.any(self.truth >= self.l):
                 raise DatasetFormatError("truth label out of range")
             if not np.all(self.candidates[np.arange(self.n), self.truth]):
                 raise MaskInvariantError("truth label missing from a candidate set")
@@ -138,26 +140,20 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _place_centers(l: int, d: int, separation: float, rng: np.random.Generator) -> np.ndarray:
     """l points in [0, side)^d at least ``separation`` apart: each candidate,
     one uniform draw, is kept if far enough from every point kept before it,
-    and after 1000 l candidates the box widens by 1.5 and the search
-    restarts. Candidates are drawn and screened a block at a time; the rng
-    ends where drawing them one by one up to the last one kept would leave it."""
+    and after 1000 rejected candidates in a row the box widens by 1.5 and the
+    search restarts."""
     side = separation * (np.ceil(l ** (1.0 / d)) + 1.0)
-    block = max(1, 2 ** 18 // (l * d))       # a block holds <= 2**18 / d distances
-    while True:
-        kept = np.empty((0, d))
-        for start in range(0, 1000 * l, block):
-            state = rng.bit_generator.state
-            cand = rng.uniform(0.0, side, size=(min(block, 1000 * l - start), d))
-            far = np.all(_distances(cand, kept) >= separation, axis=1)
-            for i in np.flatnonzero(far):
-                if far[i]:                   # also far from this block's earlier keeps
-                    kept = np.vstack([kept, cand[i]])
-                    if len(kept) == l:
-                        rng.bit_generator.state = state     # give back the unused rest
-                        rng.uniform(0.0, side, size=(i + 1, d))
-                        return kept
-                    far &= _distances(cand, cand[i:i + 1])[:, 0] >= separation
-        side *= 1.5  # box too tight, widen and retry
+    kept, count, misses = np.empty((l, d)), 0, 0
+    while count < l:
+        cand = rng.uniform(0.0, side, size=d)
+        if np.all(_distances(cand[None], kept[:count]) >= separation):
+            kept[count] = cand
+            count, misses = count + 1, 0
+        else:
+            misses += 1
+            if misses == 1000:  # box too tight, widen and retry
+                side, count, misses = side * 1.5, 0, 0
+    return kept
 
 
 def make_blobs(n: int, l: int, d: int, separation: float,

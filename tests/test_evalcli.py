@@ -873,12 +873,24 @@ def test_cutout_larger_than_the_grid_exits_4_before_training(tmp_path, monkeypat
     assert "cutout_size exceeds grid" in error
 
 
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+def test_pad_larger_than_the_grid_exits_4_before_training(tmp_path, monkeypatch,
+                                                          capsys, command):
+    data = tmp_path / "grid.plsp"
+    _grid_dataset(data, 200)
+    monkeypatch.setattr(evalcli, "new_classifier", _no_training)
+    error = _exits_4_writing_nothing(tmp_path, capsys, [
+        command, "--data", str(data), *_outputs(tmp_path, command), "--pad", "9"])
+    assert "pad exceeds grid" in error
+
+
 def test_flat_data_ignore_the_cutout(tmp_path):
     data = tmp_path / "d.plsp"
     assert _run(["generate", "--out", str(data), "--n", "30", "--classes", "3"]) == 0
     assert _run(["train", "--data", str(data), *_outputs(tmp_path, "train"),
-                 "--cutout-size", "99", "--pretrain-epochs", "1", "--ss-epochs", "1",
-                 "--inner-iters", "1", "--k", "3", "--hidden-dims", "4"]) == 0
+                 "--cutout-size", "99", "--pad", "99", "--pretrain-epochs", "1",
+                 "--ss-epochs", "1", "--inner-iters", "1", "--k", "3",
+                 "--hidden-dims", "4"]) == 0
 
 
 # -- corrupt checkpoints ---------------------------------------------------------

@@ -162,7 +162,9 @@ def test_blobs_deterministic_bytes(tmp_path):
 
 
 def _centers_one_by_one(l, d, separation, rng):
-    """The centre placement drawn and tested one candidate at a time."""
+    """The centre placement as it stood when the box widened after 1000 l
+    candidates in all; where the first box holds the centres, no run of
+    1000 misses comes first, so the two rules agree."""
     side = separation * (np.ceil(l ** (1.0 / d)) + 1.0)
     while True:
         centers = np.empty((0, d))
@@ -175,27 +177,44 @@ def _centers_one_by_one(l, d, separation, rng):
         side *= 1.5
 
 
-@pytest.mark.parametrize("l,d", [(3, 2), (4, 2), (10, 2), (30, 2), (7, 3), (4, 64),
-                                 (8, 1)])
+@pytest.mark.parametrize("l,d", [(3, 2), (4, 2), (10, 2), (30, 2), (7, 3), (4, 64)])
 def test_block_placement_matches_one_by_one(l, d):
-    """Same centres, and the rng left in the same state, as drawing each
-    candidate on its own; at d = 1 the first box is too tight for 8 centres,
-    so the widening is covered too."""
+    """Same centres, and the rng left in the same state, as the reference
+    wherever the first box holds the centres."""
     for seed in range(3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = pldata._place_centers(l, d, 2.5, rng)
         assert np.array_equal(got, _centers_one_by_one(l, d, 2.5, ref_rng))
         assert rng.random() == ref_rng.random()
-    if d == 1:
-        assert got.max() >= 2.5 * (l + 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_placement_widens_a_box_too_tight_for_the_centres(seed):
+    # at d = 1, centres 2.5 apart placed at random jam the first box, [0, 22.5),
+    # before the eighth fits, so the box widens
+    got = pldata._place_centers(8, 1, 2.5, np.random.default_rng(seed))
+    gaps = np.abs(got - got[:, 0])[~np.eye(8, dtype=bool)]
+    assert np.all(gaps >= 2.5)
+    assert got.max() >= 2.5 * 9
+    again = pldata._place_centers(8, 1, 2.5, np.random.default_rng(seed))
+    assert np.array_equal(got, again)
 
 
 def test_blobs_with_100_classes_take_under_two_seconds():
     # 100 classes at the CLI's default separation, on a 2-core x86-64 VM: the
-    # one-candidate-at-a-time placement took 9.4-9.9 s, the block one 0.08-0.2 s
+    # placement that widened after 1000 l candidates took 0.12-0.16 s, the one
+    # that widens after 1000 misses in a row 0.09-0.12 s
     start = time.perf_counter()
     make_blobs(100, 100, 2, 4.0, np.random.default_rng(0))
     assert time.perf_counter() - start < 2.0
+
+
+def test_blobs_with_1000_classes_take_under_one_and_a_half_seconds():
+    # on a 2-core x86-64 VM: 4.3-5.5 s when the first box, too small for 1000
+    # centres, widened only after 1000 l candidates; 0.30-0.45 s now
+    start = time.perf_counter()
+    make_blobs(1000, 1000, 2, 4.0, np.random.default_rng(0))
+    assert time.perf_counter() - start < 1.5
 
 
 def test_blobs_preconditions():
@@ -418,6 +437,18 @@ def test_write_rejects_invalid_dataset(tmp_path):
     ds.candidates[0] = True  # full set
     with pytest.raises(MaskInvariantError):
         write_dataset(tmp_path / "bad.plsp", ds)
+
+
+@pytest.mark.parametrize("truth,error", [
+    ([0, -1, 1], "truth label out of range"),   # -1 would index the last column
+    ([0, 1], r"truth has shape \(2,\), need \(3,\)"),
+])
+def test_write_rejects_a_truth_it_could_not_read_back(tmp_path, truth, error):
+    ds = _tiny_dataset()
+    ds.truth = np.array(truth)
+    with pytest.raises(ValueError, match=error):
+        write_dataset(tmp_path / "bad.plsp", ds)
+    assert not (tmp_path / "bad.plsp").exists()
 
 
 def test_write_rejects_a_zero_feature_dimension(tmp_path):
