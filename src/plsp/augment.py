@@ -58,6 +58,16 @@ class AugmentSpec:
             raise ValueError("cutout_size exceeds grid")
         return size
 
+    def grid_pad(self, shape: tuple[int, ...]) -> int:
+        """The pad around instances of ``shape``: ``pad`` on (H, W, ...)
+        grids, or 0 on flat vectors. ValueError if it exceeds the grid (a
+        huge one would not fit in memory once padded)."""
+        if len(shape) < 2:
+            return 0
+        if self.pad > min(shape[:2]):
+            raise ValueError("pad exceeds grid")
+        return self.pad
+
 
 def _augment_images(xs: np.ndarray, pad: int, flips: np.ndarray, offsets: np.ndarray,
                     size: int = 0, centres: np.ndarray | None = None) -> np.ndarray:
@@ -92,7 +102,8 @@ def weak_batch(xs: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> n
     xs = np.asarray(xs)
     if xs.ndim < 3:  # flat vectors
         return xs + rng.standard_normal(xs.shape) * spec.weak_jitter
-    return _augment_images(xs, spec.pad, *_draw_flip_crop(len(xs), spec, rng))
+    return _augment_images(xs, spec.grid_pad(xs.shape[1:]),
+                           *_draw_flip_crop(len(xs), spec, rng))
 
 
 def strong_batch(xs: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
@@ -103,8 +114,8 @@ def strong_batch(xs: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) ->
             out = np.where(rng.random(xs.shape) < spec.mask_prob, 0.0, out)
         return out
     n, h, w = xs.shape[:3]
-    size = spec.cutout_side(xs.shape[1:])
+    size, pad = spec.cutout_side(xs.shape[1:]), spec.grid_pad(xs.shape[1:])
     flips, offsets = _draw_flip_crop(n, spec, rng)
     centres = rng.integers(0, (h, w), size=(n, 2))
-    return _augment_images(xs, spec.pad, flips, offsets, size, centres)
+    return _augment_images(xs, pad, flips, offsets, size, centres)
 

@@ -407,8 +407,7 @@ def _train_inputs(args):
     config = build_train_config(args)
     spec = build_augment_spec(args)
     spec.cutout_side(ds.feature_shape)
-    if len(ds.feature_shape) >= 2 and spec.pad > min(ds.feature_shape[:2]):
-        raise ValueError("pad exceeds grid")   # and a huge one would not fit in memory
+    spec.grid_pad(ds.feature_shape)
     return ds, test_ds, config, spec
 
 

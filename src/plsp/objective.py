@@ -12,20 +12,21 @@ estimator around for the tests, as an oracle independent of ``verify``'s
 exact Gauss–Hermite references.
 
 One step's three terms come from one graph (``semantic_batch_loss``): one
-forward over the stacked rows [labeled; unlabeled un-augmented; strong] and
-one shifted log-softmax in which each row selects its own class covariance
-(committed pseudo label, or weak-view semantic label). Everything after the
-forward, the log-softmax, the clamps and the three weighted sums, is one
-scalar graph node with a hand-written backward; its l shift matrices come
-from ``semstats.pairwise_quadratic``. With one node per hidden layer, a step
-with two hidden layers has 9 nodes (with the parameters and the input) for
-any class count. The per-term functions run the same kernel with the other
-row blocks empty. The weak branch is one numpy forward of the live weights.
-The disambiguation-free loss (``loss_df``) is likewise one scalar node after
-the forward, so its step has the same 9 nodes. Every node here is made by
-``tensorcore.node`` with a closed-form vjp; ``assemble_batch``, which sums
-the per-term losses, is one node on the three. The step, the consistency
-term and ``assemble_batch`` each report in a ``BatchLossReport``.
+forward over the stacked rows [labeled; unlabeled un-augmented; strong rows
+whose gate is open] and one shifted log-softmax in which each row selects
+its own class covariance (committed pseudo label, or weak-view semantic
+label). Everything after the forward, the log-softmax, the clamps and the
+three weighted sums, is one scalar graph node with a hand-written backward;
+its l shift matrices come from ``semstats.pairwise_quadratic``. With one
+node per hidden layer, a step with two hidden layers has 9 nodes (with the
+parameters and the input) for any class count. The per-term functions run
+the same kernel with the other row blocks empty. The weak branch is one
+numpy forward of the live weights. The disambiguation-free loss
+(``loss_df``) is likewise one scalar node after the forward, so its step has
+the same 9 nodes. Every node here is made by ``tensorcore.node`` with a
+closed-form vjp; ``assemble_batch``, which sums the per-term losses, is one
+node on the three. The step, the consistency term and ``assemble_batch``
+each report in a ``BatchLossReport``.
 
 Gradient flow: the weak branch (probabilities, semantic labels, pseudo
 targets) and the pseudo split are numpy forwards of the live weights with no
@@ -321,14 +322,19 @@ def semantic_batch_loss(params: ClassifierParams, stats: ClassCovStats,
     """One semi-supervised step's gamma * (loss_sup + reg_u) + loss_cl.
 
     The rows [labeled; unlabeled un-augmented; strong] go through a single
-    graph forward. Covariances: the committed pseudo label for labeled rows,
-    the weak-view semantic label for the other two blocks. ``candidates``
-    belong to the unlabeled rows, which ``x_unl``, ``x_weak`` and
-    ``x_strong`` hold in the same order. The weak branch is a numpy forward
-    of the live weights; its gate counts fill the returned report beside the
-    three term values, the total and the clamp count. Values equal
-    ``assemble_batch`` over the three per-term functions given a frozen copy
-    of ``params``. An unlabeled row with no candidate raises ValueError.
+    graph forward, the strong block holding only the rows whose gate is
+    open: a closed gate gives a strong row zero weight, so leaving it out
+    changes no term, and the consistency term still averages over all
+    ``n_unl`` unlabeled rows. A non-finite value in a left-out row does not
+    reach the total. Covariances: the committed pseudo label for
+    labeled rows, the weak-view semantic label for the other two blocks.
+    ``candidates`` belong to the unlabeled rows, which ``x_unl``, ``x_weak``
+    and ``x_strong`` hold in the same order. The weak branch is a numpy
+    forward of the live weights; its gate counts fill the returned report
+    beside the three term values, the total and the clamp count. On finite
+    strong rows, values equal ``assemble_batch`` over the three per-term
+    functions given a frozen copy of ``params``. An unlabeled row with no
+    candidate raises ValueError.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -337,15 +343,18 @@ def semantic_batch_loss(params: ClassifierParams, stats: ClassCovStats,
     n_lab, n_unl = len(y_lab), len(x_unl)
     sem, weights, entropy, report = _weak_branch(
         params.eval_features(x_weak), params.head.data, stats, candidates, lam, tau)
+    # a closed gate zeroes a strong row's weights, so the row is left out
+    gate = weights.any(axis=1)
     l = params.n_classes
-    sup_w, reg_w, cl_w = (np.zeros((n_lab + 2 * n_unl, l)) for _ in range(3))
+    sup_w, reg_w, cl_w = (np.zeros((n_lab + n_unl + int(gate.sum()), l))
+                          for _ in range(3))
     sup_w[np.arange(n_lab), y_lab] = 1.0 / max(n_lab, 1)
     cl_w[n_lab:n_lab + n_unl] = ~candidates / max(n_unl, 1)
-    reg_w[n_lab + n_unl:] = weights / max(n_unl, 1)
+    reg_w[n_lab + n_unl:] = weights[gate] / max(n_unl, 1)
     total, (report.loss_sup, report.reg_u, report.loss_cl), report.clamped = \
-        _objective_kernel(params, stats, lam, [x_lab, x_unl, x_strong],
-                          np.concatenate([y_lab, sem, sem]), sup_w, reg_w, cl_w,
-                          entropy / max(n_unl, 1), gamma)
+        _objective_kernel(params, stats, lam, [x_lab, x_unl, x_strong[gate]],
+                          np.concatenate([y_lab, sem, sem[gate]]), sup_w, reg_w,
+                          cl_w, entropy / max(n_unl, 1), gamma)
     report.total = float(total.data)
     return total, report
 

@@ -74,6 +74,8 @@ class PLDataset:
         if self.truth is not None:
             if self.truth.shape != (self.n,):
                 raise ValueError(f"truth has shape {self.truth.shape}, need ({self.n},)")
+            if not np.issubdtype(self.truth.dtype, np.integer):
+                raise ValueError(f"truth has dtype {self.truth.dtype}, need an integer dtype")
             if np.any(self.truth < 0) or np.any(self.truth >= self.l):
                 raise DatasetFormatError("truth label out of range")
             if not np.all(self.candidates[np.arange(self.n), self.truth]):

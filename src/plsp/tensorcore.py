@@ -44,12 +44,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            # a copy, never the array itself: a vjp may hand one array to two
-            # parents, and a later += on one grad must not change the other
-            self.grad = np.array(grad)
-        else:
-            self.grad += grad
+        # the first gradient is kept as is, not copied: a vjp may hand one
+        # array to two parents, so a later gradient is added into a new
+        # array, never written into the one held
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self) -> None:
         """Populate .grad on every reachable requires_grad tensor.
@@ -119,12 +117,15 @@ class SgdOptimizer:
         gradient moves by momentum and weight decay alone."""
         cfg = self.config
         for p, v in zip(self.params, self.velocity):
-            g = np.zeros_like(p.data) if p.grad is None else p.grad
-            if g.shape != p.data.shape:
+            g = p.grad
+            if g is not None and g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape}")
+            # one temporary per parameter: wd*p + g, then lr*v in its place
+            step = cfg.weight_decay * p.data
+            step += 0.0 if g is None else g
             v *= cfg.momentum
-            v += g + cfg.weight_decay * p.data
-            p.data -= cfg.learning_rate * v
+            v += step
+            p.data -= np.multiply(v, cfg.learning_rate, out=step)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -283,3 +283,17 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         strong_batch(np.ones((1, 4, 4, 1)), AugmentSpec(flip_prob=0.0, pad=0, cutout_size=9),
                      np.random.default_rng(0))
+
+
+def test_pad_beyond_the_grid_raises_before_padding():
+    """A pad of 10**5 around 8x8 grids would need a 596 GiB buffer; both
+    branches refuse it before allocating. A pad equal to the grid's smaller
+    side is allowed, and flat vectors ignore the pad."""
+    xs = np.zeros((2, 8, 8, 1))
+    for augment in (weak_batch, strong_batch):
+        for pad in (9, 10**5):
+            with pytest.raises(ValueError, match="pad exceeds grid"):
+                augment(xs, AugmentSpec(pad=pad), np.random.default_rng(0))
+        assert augment(xs, AugmentSpec(pad=8), np.random.default_rng(0)).shape == xs.shape
+        assert augment(np.zeros((2, 5)), AugmentSpec(pad=10**5),
+                       np.random.default_rng(0)).shape == (2, 5)

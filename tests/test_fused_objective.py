@@ -241,6 +241,54 @@ def test_per_term_functions_match_reference(l):
             assert _rel(g, r) <= 1e-12
 
 
+@pytest.mark.parametrize("l", [3, 10])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fused_step_forwards_only_open_gate_strong_rows(monkeypatch, l, case):
+    params, _, stats, x_lab, y_lab, x_unl, x_w, x_s, *rest = _batch(
+        l, seed=100 + l, **CASES[case])
+    seen = []
+    forward = objective.extract_features
+
+    def recording_forward(params, x):
+        seen.append(np.array(x))
+        return forward(params, x)
+
+    monkeypatch.setattr(objective, "extract_features", recording_forward)
+    _, report = semantic_batch_loss(params, stats, x_lab, y_lab, x_unl, x_w,
+                                    x_s, *rest)
+    assert len(seen) == 1
+    rows = seen[0]
+    n_lab, n_unl = len(x_lab), len(x_unl)
+    n_open = int(report.sigma_inc.sum())   # one count per open-gate row
+    assert n_open == round(report.h_pass_rate * n_unl)
+    assert len(rows) == n_lab + n_unl + n_open
+    assert np.array_equal(rows[:n_lab + n_unl], np.concatenate([x_lab, x_unl]))
+    strong = rows[n_lab + n_unl:]
+    # the kept strong rows are rows of x_s, in their order
+    kept = [int(np.flatnonzero((x_s == r).all(axis=1))[0]) for r in strong]
+    assert kept == sorted(set(kept))
+    if case == "gate-all-zero":
+        assert len(strong) == 0
+
+
+def test_non_finite_strong_row_reaches_the_total_only_through_an_open_gate():
+    (params, _, stats, x_lab, y_lab, x_unl, x_w, x_s, cands, lam, tau,
+     gamma) = _batch(4, 6, 9, seed=100)
+    _, weights, _, _ = objective._weak_branch(
+        params.eval_features(x_w), params.head.data, stats, cands, lam, tau)
+    gate = weights.any(axis=1)
+    assert gate.any() and not gate.all()
+    for row, finite in ((np.flatnonzero(~gate)[0], True),
+                        (np.flatnonzero(gate)[0], False)):
+        bad = x_s.copy()
+        bad[row, 0] = np.nan
+        total, _ = semantic_batch_loss(params, stats, x_lab, y_lab, x_unl, x_w,
+                                       bad, cands, lam, tau, gamma)
+        assert np.isfinite(float(total.data)) == finite
+        grads = gradients(total, params.parameters())
+        assert all(np.all(np.isfinite(g)) for g in grads) == finite
+
+
 def test_fused_step_raises_on_non_finite_weights():
     params, _, *rest = _batch(4, 6, 9, seed=300)
     params.head.data[0, 0] = np.nan

@@ -442,6 +442,7 @@ def test_write_rejects_invalid_dataset(tmp_path):
 @pytest.mark.parametrize("truth,error", [
     ([0, -1, 1], "truth label out of range"),   # -1 would index the last column
     ([0, 1], r"truth has shape \(2,\), need \(3,\)"),
+    ([0., 1., 2.], "truth has dtype float64, need an integer dtype"),  # not IndexError
 ])
 def test_write_rejects_a_truth_it_could_not_read_back(tmp_path, truth, error):
     ds = _tiny_dataset()

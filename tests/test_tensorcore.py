@@ -223,12 +223,24 @@ def test_rank_cap():
         Tensor(np.ones((2, 2, 2)))
 
 
-def test_first_gradient_is_copied_not_shared():
-    """__add__'s backward hands one array to both parents; each leaf must own
-    its gradient, so a later accumulation into one leaves the other alone."""
+def test_accumulating_into_one_leaf_leaves_shared_gradients_unchanged():
+    """__add__'s backward hands one array to both parents, and each keeps it
+    uncopied as its first gradient; a later accumulation into one leaf makes
+    a new array, so the other leaf's gradient and the array the vjp returned
+    stay as they were."""
     a = Ref(np.ones((2, 3)), requires_grad=True)
     b = Ref(np.ones((2, 3)), requires_grad=True)
     (a + b).sum().backward()
     (a * 2.0).sum().backward()  # accumulates into a.grad only
     assert np.array_equal(a.grad, np.full((2, 3), 3.0))
     assert np.array_equal(b.grad, np.ones((2, 3)))
+
+    shared = np.ones((2, 3))
+    c = Tensor(np.ones((2, 3)), requires_grad=True)
+    d = Tensor(np.ones((2, 3)), requires_grad=True)
+    node(np.array(0.0), (c, d), lambda g: (shared, shared)).backward()
+    assert c.grad is shared and d.grad is shared
+    node(np.array(0.0), (c,), lambda g: (np.full((2, 3), 2.0),)).backward()
+    assert np.array_equal(c.grad, np.full((2, 3), 3.0))
+    assert d.grad is shared
+    assert np.array_equal(shared, np.ones((2, 3)))
