@@ -20,8 +20,8 @@ import numpy as np
 
 from . import augment, pldata
 from .model import init_classifier, load_checkpoint, save_checkpoint, snapshot_frozen
-from .objective import (LOG_EPS, loss_complementary_semantic, loss_sup_semantic,
-                        shifted_log_probs, weak_cav_pseudo_labels)
+from .objective import (LOG_EPS, _weak_branch, loss_complementary_semantic,
+                        loss_sup_semantic, shifted_log_probs)
 # Bound here though no check calls it: the benchmark's span tracer
 # (perfbench/spans.py) patches this name in this module.
 from .objective import mc_oracle_reg  # noqa: F401
@@ -193,14 +193,11 @@ def _bound_ces(params, frozen, stats, x_weak, x_strong, mask,
                lam: float) -> tuple[float, float]:
     """One instance's shifted-softmax cross entropy and the exact expected
     strong-branch cross entropy that it must bound from above, under the
-    frozen weak view's label (candidate-restricted activation-value argmax)
-    and target (closed-form weak probabilities renormalised over the
-    candidates)."""
-    sem_label = int(weak_cav_pseudo_labels(frozen, x_weak[None, :], mask[None, :])[0])
-    cov = stats.cov(sem_label)
-    target = np.where(mask, probit_weak_probs(
-        frozen.head, frozen.features(x_weak[None, :])[0], cov, lam), 0.0)
-    target /= target.sum()
+    frozen weak view's label and target, both from the training step's
+    ``_weak_branch`` (its gate is not read)."""
+    sem, _, targets, _, _ = _weak_branch(frozen.features(x_weak[None]), frozen.head,
+                                         stats, mask[None], lam, np.ones(len(mask)))
+    cov, target = stats.cov(int(sem[0])), targets[0]
     head = params.head.data
     a_s = params.eval_features(x_strong[None, :])[0]
     p_s = shifted_softmax_probs(head, a_s, cov, lam)
@@ -274,7 +271,6 @@ def run_verify(seed: int, n_instances: int, mc_samples: int, out=None) -> bool:
         raise ValueError("need n_instances >= 1")
     if mc_samples < 1:
         raise ValueError("need mc_samples >= 1")
-    out = out if out is not None else sys.stdout
     results = [
         check_bound_direction(seed, n_instances),
         check_lambda_zero(seed),

@@ -43,7 +43,7 @@ import numpy as np
 
 from .model import ClassifierParams, FrozenClassifier, extract_features
 from .pldata import PLDataset
-from .semstats import ClassCovStats, pairwise_quadratic, probit_weak_probs
+from .semstats import ClassCovStats, pairwise_quadratic, probit_weak_probs, sample_semantic
 from .tensorcore import Tensor, node, softmax
 
 LOG_EPS = math.log(1e-12)
@@ -267,19 +267,22 @@ def _objective_kernel(params: ClassifierParams, stats: ClassCovStats, lam: float
 
 def _weak_branch(feats: np.ndarray, head: np.ndarray, stats: ClassCovStats,
                  candidates: np.ndarray, lam: float, tau: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray, float, BatchLossReport]:
-    """The weak side of the consistency term, pure numpy.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, BatchLossReport]:
+    """The weak side of the consistency term, pure numpy; the step,
+    ``reg_consistency_semantic`` and ``verify``'s bound check all read it.
 
     From the weak rows' features and the head array: the weak-view semantic
     labels (the candidate-restricted activation-value argmax) and the probit
     expected softmax, each row at its own class's covariance. The pseudo
     target renormalises that softmax over the candidate set; every clipped
     probit probability is positive, so its mass is too. Returns the semantic
-    labels, the gated pseudo targets, their summed entropy and a report
-    holding the gate counts (``sigma_inc``, ``h_pass_rate``), whose losses
-    and clamp count the caller fills in. Raises ValueError on a row with no
-    candidate, on non-finite weak-view logits, and on a non-finite score of
-    finite logits (so large that z * |z - 1| overflows).
+    labels, the gate h (callers forward only the strong rows where it is
+    open), the ungated pseudo targets, the open-gate targets' summed
+    entropy and a report holding the gate counts (``sigma_inc``,
+    ``h_pass_rate``), whose losses and clamp count the caller fills in.
+    Raises ValueError on a row with no candidate, on non-finite weak-view
+    logits, and on a non-finite score of finite logits (so large that
+    z * |z - 1| overflows).
     """
     batch = len(feats)
     n_classes = head.shape[0]
@@ -311,7 +314,7 @@ def _weak_branch(feats: np.ndarray, head: np.ndarray, stats: ClassCovStats,
         sigma_inc=np.bincount(sem[h], minlength=n_classes).astype(np.int64),
         h_pass_rate=float(h.sum() / max(batch, 1)),
     )
-    return sem, weights, entropy, report
+    return sem, h, targets, entropy, report
 
 
 def semantic_batch_loss(params: ClassifierParams, stats: ClassCovStats,
@@ -331,29 +334,27 @@ def semantic_batch_loss(params: ClassifierParams, stats: ClassCovStats,
     ``candidates`` belong to the unlabeled rows, which ``x_unl``, ``x_weak``
     and ``x_strong`` hold in the same order. The weak branch is a numpy
     forward of the live weights; its gate counts fill the returned report
-    beside the three term values, the total and the clamp count. On finite
-    strong rows, values equal ``assemble_batch`` over the three per-term
-    functions given a frozen copy of ``params``. An unlabeled row with no
-    candidate raises ValueError.
+    beside the three term values, the total and the clamp count. Values
+    equal ``assemble_batch`` over the three per-term functions given a
+    frozen copy of ``params``. An unlabeled row with no candidate raises
+    ValueError.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     candidates = np.asarray(candidates, dtype=bool)
     y_lab = np.asarray(y_lab, dtype=np.int64)
     n_lab, n_unl = len(y_lab), len(x_unl)
-    sem, weights, entropy, report = _weak_branch(
+    sem, h, targets, entropy, report = _weak_branch(
         params.eval_features(x_weak), params.head.data, stats, candidates, lam, tau)
-    # a closed gate zeroes a strong row's weights, so the row is left out
-    gate = weights.any(axis=1)
     l = params.n_classes
-    sup_w, reg_w, cl_w = (np.zeros((n_lab + n_unl + int(gate.sum()), l))
+    sup_w, reg_w, cl_w = (np.zeros((n_lab + n_unl + int(h.sum()), l))
                           for _ in range(3))
     sup_w[np.arange(n_lab), y_lab] = 1.0 / max(n_lab, 1)
     cl_w[n_lab:n_lab + n_unl] = ~candidates / max(n_unl, 1)
-    reg_w[n_lab + n_unl:] = weights[gate] / max(n_unl, 1)
+    reg_w[n_lab + n_unl:] = targets[h] / max(n_unl, 1)
     total, (report.loss_sup, report.reg_u, report.loss_cl), report.clamped = \
-        _objective_kernel(params, stats, lam, [x_lab, x_unl, x_strong[gate]],
-                          np.concatenate([y_lab, sem, sem[gate]]), sup_w, reg_w,
+        _objective_kernel(params, stats, lam, [x_lab, x_unl, x_strong[h]],
+                          np.concatenate([y_lab, sem, sem[h]]), sup_w, reg_w,
                           cl_w, entropy / max(n_unl, 1), gamma)
     report.total = float(total.data)
     return total, report
@@ -381,16 +382,19 @@ def reg_consistency_semantic(params: ClassifierParams, frozen: FrozenClassifier,
 
     The weak side (semantic labels, closed-form expected softmax, pseudo
     target, gate h) is pure numpy under the frozen snapshot; gradients reach
-    only the strong branch. Returns the loss tensor and a report whose
-    ``reg_u`` and ``total`` are the loss, beside the gate counts and clamps.
+    only the strong branch. As in the step, only the strong rows whose gate
+    is open are forwarded, so a non-finite value in a closed-gate row does
+    not reach the loss. Returns the loss tensor and a report whose ``reg_u``
+    and ``total`` are the loss, beside the gate counts and clamps.
     """
     batch = len(x_strong)
-    sem, weights, entropy, report = _weak_branch(
+    sem, h, targets, entropy, report = _weak_branch(
         frozen.features(x_weak), frozen.head, stats, candidates, lam, tau)
-    zero = np.zeros_like(weights)
+    reg_w = targets[h] / max(batch, 1)
+    zero = np.zeros_like(reg_w)
     value, _, report.clamped = _objective_kernel(
-        params, stats, lam, [x_strong], sem, zero, weights / max(batch, 1),
-        zero, entropy / max(batch, 1), 1.0)
+        params, stats, lam, [x_strong[h]], sem[h], zero, reg_w, zero,
+        entropy / max(batch, 1), 1.0)
     report.reg_u = report.total = float(value.data)
     return value, report
 
@@ -466,9 +470,6 @@ def mc_oracle_reg(params: ClassifierParams, frozen: FrozenClassifier,
     takes that cross entropy from an exact Gauss–Hermite sum, and the tests
     hold the sum against this sampled estimate.
     """
-    # looked up at call time: the span tracer patches semstats.sample_semantic
-    from .semstats import sample_semantic
-
     if n_samples < 1:
         raise ValueError("need n_samples >= 1")
     candidates = np.asarray(candidates, dtype=bool)

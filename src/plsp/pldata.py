@@ -215,7 +215,7 @@ def stratified_split(ds: PLDataset, n_test: int,
         return PLDataset(
             features=ds.features[keep].copy(),
             candidates=ds.candidates[keep].copy(),
-            truth=None if ds.truth is None else ds.truth[keep].copy(),
+            truth=ds.truth[keep].copy(),
         )
 
     return subset(~is_test), subset(is_test)
@@ -277,7 +277,7 @@ def read_dataset(path) -> PLDataset:
     chunk, off = _take(buf, off, 4)
     (rank,) = struct.unpack("<I", chunk)
     chunk, off = _take(buf, off, 4 * rank)
-    dims = struct.unpack(f"<{rank}I", chunk) if rank else ()
+    dims = struct.unpack(f"<{rank}I", chunk)
     if 0 in dims:  # write_dataset refuses such a dataset too
         raise DatasetFormatError(f"feature shape {dims} in the header has a 0")
     chunk, off = _take(buf, off, 4 * n * math.prod(dims))

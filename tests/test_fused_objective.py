@@ -274,9 +274,8 @@ def test_fused_step_forwards_only_open_gate_strong_rows(monkeypatch, l, case):
 def test_non_finite_strong_row_reaches_the_total_only_through_an_open_gate():
     (params, _, stats, x_lab, y_lab, x_unl, x_w, x_s, cands, lam, tau,
      gamma) = _batch(4, 6, 9, seed=100)
-    _, weights, _, _ = objective._weak_branch(
+    _, gate, _, _, _ = objective._weak_branch(
         params.eval_features(x_w), params.head.data, stats, cands, lam, tau)
-    gate = weights.any(axis=1)
     assert gate.any() and not gate.all()
     for row, finite in ((np.flatnonzero(~gate)[0], True),
                         (np.flatnonzero(gate)[0], False)):
@@ -287,6 +286,25 @@ def test_non_finite_strong_row_reaches_the_total_only_through_an_open_gate():
         assert np.isfinite(float(total.data)) == finite
         grads = gradients(total, params.parameters())
         assert all(np.all(np.isfinite(g)) for g in grads) == finite
+
+
+def test_reference_matches_the_step_on_a_non_finite_closed_gate_row():
+    """``reg_consistency_semantic`` under a snapshot of the live weights
+    leaves out the closed-gate strong rows as the step does, so a NaN in one
+    of them reaches neither its value nor its gradients."""
+    (params, _, stats, x_lab, y_lab, x_unl, x_w, x_s, cands, lam, tau,
+     gamma) = _batch(4, 6, 9, seed=100)
+    _, gate, _, _, _ = objective._weak_branch(
+        params.eval_features(x_w), params.head.data, stats, cands, lam, tau)
+    bad = x_s.copy()
+    bad[np.flatnonzero(~gate)[0], 0] = np.nan
+    _, step = semantic_batch_loss(params, stats, x_lab, y_lab, x_unl, x_w, bad,
+                                  cands, lam, tau, gamma)
+    reg, report = objective.reg_consistency_semantic(
+        params, snapshot_frozen(params), stats, x_w, bad, cands, lam, tau)
+    assert np.isfinite(report.reg_u)
+    assert all(np.all(np.isfinite(g)) for g in gradients(reg, params.parameters()))
+    assert _rel(report.reg_u, step.reg_u) <= 1e-12
 
 
 def test_fused_step_raises_on_non_finite_weights():

@@ -106,14 +106,12 @@ def _imports_in_functions(node, module: str, where: str | None = None):
             yield from _imports_in_functions(child, module, where)
 
 
-def test_one_call_time_import_is_left():
-    """Imports sit at module level. The one exception is the lookup of
-    ``sample_semantic`` at call time, which the span tracer patches in
-    ``semstats`` only."""
+def test_no_call_time_import_is_left():
+    """Imports sit at module level: no function imports at call time."""
     found = [name for path in sorted(Path(plsp.__file__).parent.glob("*.py"))
              for name in _imports_in_functions(
                  ast.parse(path.read_text(encoding="utf-8")), path.stem)]
-    assert found == ["objective.mc_oracle_reg: sample_semantic"]
+    assert found == []
 
 
 def _unused_imports(tree: ast.Module, module: str) -> list[str]:
