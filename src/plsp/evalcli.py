@@ -447,7 +447,7 @@ def _cmd_eval(args) -> int:
     ds = pldata.read_dataset(args.data)
     if ds.truth is None:
         raise ValueError("dataset carries no truth labels to evaluate against")
-    x = ds.flat_features().astype(np.float64)
+    x = ds.flat_features()
     if (params.input_dim, params.n_classes) != (x.shape[1], ds.l):
         raise ValueError(
             f"checkpoint takes {params.input_dim} input features and {params.n_classes} "
@@ -600,7 +600,3 @@ def cli_main(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -5,6 +5,11 @@ products with the extracted feature vector; that layout is what the
 closed-form semantic losses differentiate through. A frozen snapshot of the
 parameters is a pure-numpy copy, so nothing computed from it can leak
 gradients back into training.
+
+The numpy forwards take rows of any float dtype and convert them to float64
+as they go. A full-set pass (``eval_logits``, so ``predict``) runs in row
+blocks of at most ``_EVAL_BLOCK`` rows, so it holds one block's float64 rows
+and activations at a time, never the whole set's.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .tensorcore import Tensor, node, softmax
 
 CHECKPOINT_MAGIC = b"PLSW"
 CHECKPOINT_VERSION = 1
+_EVAL_BLOCK = 1024  # most rows per block of a full-set forward
 
 
 @dataclass
@@ -60,7 +66,17 @@ class ClassifierParams:
         return _relu_stack(x, ((w.data, b.data) for w, b in self.layers))
 
     def eval_logits(self, x: np.ndarray) -> np.ndarray:
-        return self.eval_features(x) @ self.head.data.T
+        """(n, l) logits of the rows ``x``, forwarded in near-equal blocks of
+        at most ``_EVAL_BLOCK`` rows: more than half that each once n
+        exceeds it, so that no short tail block takes BLAS's small-matrix
+        kernel, whose sums can round apart from the one-shot product's."""
+        n_blocks = max(-(-len(x) // _EVAL_BLOCK), 1)
+        edges = [len(x) * i // n_blocks for i in range(n_blocks + 1)]
+        head_t = self.head.data.T
+        out = np.empty((len(x), self.n_classes))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            out[lo:hi] = self.eval_features(x[lo:hi]) @ head_t
+        return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.eval_logits(x).argmax(axis=1)
@@ -170,7 +186,7 @@ def load_checkpoint(path) -> ClassifierParams:
         buf = fh.read()
     chunk, off = _take(buf, 0, 4)
     if chunk != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"bad checkpoint magic {chunk!r}")
+        raise BadMagicError(f"bad checkpoint magic {bytes(chunk)!r}")
     chunk, off = _take(buf, off, 8)
     version, _flags, count = struct.unpack("<HHI", chunk)
     if version != CHECKPOINT_VERSION:

@@ -256,10 +256,12 @@ def write_dataset(path, ds: PLDataset) -> None:
             fh.write(np.ascontiguousarray(ds.truth, dtype="<u4").tobytes())
 
 
-def _take(buf: bytes, offset: int, count: int) -> tuple[bytes, int]:
+def _take(buf: bytes, offset: int, count: int) -> tuple[memoryview, int]:
+    """``count`` bytes of ``buf`` from ``offset`` as a view, not a copy, and
+    the offset after them."""
     if offset + count > len(buf):
         raise TruncatedPayloadError(f"expected {count} bytes at offset {offset}")
-    return buf[offset:offset + count], offset + count
+    return memoryview(buf)[offset:offset + count], offset + count
 
 
 def read_dataset(path) -> PLDataset:
@@ -267,7 +269,7 @@ def read_dataset(path) -> PLDataset:
         buf = fh.read()
     chunk, off = _take(buf, 0, 4)
     if chunk != MAGIC:
-        raise BadMagicError(f"bad magic {chunk!r}")
+        raise BadMagicError(f"bad magic {bytes(chunk)!r}")
     chunk, off = _take(buf, off, struct.calcsize("<HHQI"))
     version, flags, n, l = struct.unpack("<HHQI", chunk)
     if version != FORMAT_VERSION:

@@ -19,6 +19,7 @@ package needs numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -182,6 +183,20 @@ def pairwise_quadratic(head: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return d[..., :, None] + d[..., None, :] - s - np.swapaxes(s, -1, -2)
 
 
+# a run reads one class count; verify reads a few small ones
+@functools.lru_cache(maxsize=4)
+def _pairs(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The unordered class pairs (upper, lower) = ``np.triu_indices(l, 1)``
+    and the (P, l) matrices that pick each pair's upper and lower class;
+    read-only, as they are cached."""
+    upper, lower = np.triu_indices(l, 1)
+    pick = np.eye(l)
+    out = (upper, lower, pick[upper], pick[lower])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def probit_weak_probs(head: np.ndarray, feats: np.ndarray, cov: np.ndarray,
                       lam: float, beta: float = DEFAULT_BETA,
                       classes: np.ndarray | None = None) -> np.ndarray:
@@ -205,7 +220,7 @@ def probit_weak_probs(head: np.ndarray, feats: np.ndarray, cov: np.ndarray,
         raise ValueError("non-finite logits")
     z = feats @ head.T
     n_classes = head.shape[0]
-    upper, lower = np.triu_indices(n_classes, 1)
+    upper, lower, pick_upper, pick_lower = _pairs(n_classes)
     quad = pairwise_quadratic(head, cov)[..., upper, lower]     # (P,) or (K, P)
     scale = np.sqrt(np.maximum(1.0 + lam * beta * beta * quad, _PHI_CLAMP))
     scale = scale if classes is None else scale[classes]
@@ -215,14 +230,15 @@ def probit_weak_probs(head: np.ndarray, feats: np.ndarray, cov: np.ndarray,
     # One lower tail per pair gives both directions: Phi(-|x|) and
     # 1 - Phi(-|x|), the order set by the sign of x (x = +-0 gives 0.5 both
     # ways). Beyond |x| = 8 both directions end at the clip, so the argument
-    # stops there.
+    # stops there. As tail <= 0.5, the clip to [1e-12, 1 - 1e-12] only ever
+    # raises the tail and lowers its complement, and a NaN stays NaN.
     tail = normal_tail(np.minimum(np.abs(x), 8.0))
-    negative, flip = np.signbit(x), 1.0 - tail
-    phi_up = np.clip(np.where(negative, tail, flip), _PHI_CLAMP, 1.0 - _PHI_CLAMP)
-    phi_low = np.clip(np.where(negative, flip, tail), _PHI_CLAMP, 1.0 - _PHI_CLAMP)
-    pick = np.eye(n_classes)
+    inv_tail = 1.0 / np.maximum(tail, _PHI_CLAMP)
+    inv_flip = 1.0 / np.minimum(1.0 - tail, 1.0 - _PHI_CLAMP)
+    negative = np.signbit(x)
     # sum over j' != j of 1/Phi(beta (z_j - z_j') / s_jj'); the j' = j term is 2
-    den = (2.0 - n_classes) + (1.0 / phi_up) @ pick[upper] + (1.0 / phi_low) @ pick[lower]
+    den = ((2.0 - n_classes) + np.where(negative, inv_tail, inv_flip) @ pick_upper
+           + np.where(negative, inv_flip, inv_tail) @ pick_lower)
     probs = np.clip(1.0 / den, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs[0] if single else probs

@@ -15,6 +15,11 @@ come from ``macro_micro_f1``.
 Both loops draw every mini-batch with a ``_Cycler``, without replacement: a
 batch larger than its pool runs on into a fresh permutation of it, so each
 aligned block of pool-size draws holds every instance once.
+
+The dataset's features stay float32: each loop converts only the rows a batch
+draws to float64 (exactly, so every batch equals a slice of a float64 copy of
+the set), and the full-set passes hand the float32 rows to the model, which
+forwards them in row blocks.
 """
 
 from __future__ import annotations
@@ -217,7 +222,7 @@ def _df_epochs(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
     if epochs > 0 and config.inner_iters and min(ds.n, config.batch_unlabeled) < 1:
         raise ValueError(f"nothing to train on: n = {ds.n} instances, "
                          f"batch_unlabeled = {config.batch_unlabeled}")
-    x = ds.flat_features().astype(np.float64)
+    x = ds.flat_features()
     rng = derive_rng(config.seed, _TAG_PRETRAIN)
     opt = SgdOptimizer(params.parameters(), config)
     for _ in range(epochs):
@@ -227,7 +232,8 @@ def _df_epochs(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
         clamped = 0
         for _ in range(config.inner_iters):
             idx = cycler.take(config.batch_unlabeled)
-            loss, batch_clamped = loss_df(params, x[idx], ds.candidates[idx])
+            loss, batch_clamped = loss_df(params, x[idx].astype(np.float64),
+                                          ds.candidates[idx])
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -244,7 +250,7 @@ def _epoch_record(epoch: int, params: ClassifierParams, ds: PLDataset,
     test F1 (0 where a set or its truth is absent)."""
     seconds = 0.0 if config.deterministic else time.perf_counter() - start
     (train_macro, train_micro), (test_macro, test_micro) = [
-        macro_micro_f1(params.predict(d.flat_features().astype(np.float64)), d.truth, d.l)
+        macro_micro_f1(params.predict(d.flat_features()), d.truth, d.l)
         if d is not None and d.truth is not None else (0.0, 0.0)
         for d in (ds, test_ds)]
     return MetricsRecord(epoch=epoch, macro_f1=test_macro, micro_f1=test_micro,
@@ -278,9 +284,8 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
     if n_epochs > 0 and config.inner_iters and ds.n < 1:
         raise ValueError(f"nothing to train on: n = {ds.n} instances")
     records: list[MetricsRecord] = []
-    x_raw = ds.features.astype(np.float64)
     width = math.prod(ds.feature_shape)
-    x_flat = x_raw.reshape(ds.n, width)
+    x_flat = ds.flat_features()
     stats = ClassCovStats(ds.l, params.feature_dim)
     sigma = np.zeros(ds.l, dtype=np.int64)   # confident counts of the last epoch
     opt = SgdOptimizer(params.parameters(), config)  # fresh momentum
@@ -306,12 +311,14 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
             unl = unl_cycler.take(config.batch_unlabeled)
             wk_rng = derive_rng(config.seed, _TAG_AUG_WEAK, t, c)
             st_rng = derive_rng(config.seed, _TAG_AUG_STRONG, t, c)
-            x_w = augment.weak_batch(x_raw[unl], spec, wk_rng).reshape(unl.size, width)
-            x_s = augment.strong_batch(x_raw[unl], spec, st_rng).reshape(unl.size, width)
-            update_cov_stats(stats, params.eval_features(x_flat[lab]), lab_y[lab])
+            x_lab = x_flat[lab].astype(np.float64)
+            x_unl = ds.features[unl].astype(np.float64)
+            x_w = augment.weak_batch(x_unl, spec, wk_rng).reshape(unl.size, width)
+            x_s = augment.strong_batch(x_unl, spec, st_rng).reshape(unl.size, width)
+            update_cov_stats(stats, params.eval_features(x_lab), lab_y[lab])
 
             total, batch_report = semantic_batch_loss(
-                params, stats, x_flat[lab], lab_y[lab], x_flat[unl],
+                params, stats, x_lab, lab_y[lab], x_unl.reshape(unl.size, width),
                 x_w, x_s, ds.candidates[unl], lam, tau, gamma)
             opt.zero_grad()
             total.backward()

@@ -13,7 +13,7 @@ import pytest
 from mcref import _logit_factor, mc_softmax_mean, weak_branch_cases
 from scipy.special import ndtr
 
-from plsp import evalcli
+from plsp import evalcli, semstats
 from plsp.augment import AugmentSpec
 from plsp.evalcli import (MetricsRecord, _quadrature_softmax_mean, beta_sup_errors,
                           build_augment_spec, build_train_config, check_lambda_zero,
@@ -462,6 +462,26 @@ def test_gauss_hermite_cache_is_bounded():
     for n in range(2, 12):
         grid(n, 3)
     assert grid.cache_info().currsize == grid.cache_info().maxsize == 2
+
+
+def test_probit_pair_cache_is_bounded_and_read_only():
+    """The probit builds its class pairs and pick matrices once per class
+    count, keeps a few class counts, and hands out arrays no caller can
+    write through."""
+    pairs = semstats._pairs
+    pairs.cache_clear()
+    for _ in range(3):
+        upper, lower, pick_upper, pick_lower = pairs(4)
+    assert pairs.cache_info().misses == 1
+    assert np.array_equal(np.stack([upper, lower]), np.triu_indices(4, 1))
+    assert np.array_equal(pick_upper, np.eye(4)[upper])
+    assert np.array_equal(pick_lower, np.eye(4)[lower])
+    assert not any(arr.flags.writeable for arr in (upper, lower, pick_upper, pick_lower))
+    with pytest.raises(ValueError):
+        pick_upper[0, 0] = 2.0
+    for l in range(3, 20):
+        pairs(l)
+    assert pairs.cache_info().currsize == pairs.cache_info().maxsize == 4
 
 
 @pytest.mark.parametrize("l,d", [(2, 5), (3, 8)])

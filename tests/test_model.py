@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from refgraph import Ref, gradients, lift
 
-from plsp.model import (ClassifierParams, _dense_relu, extract_features,
+from plsp.model import (ClassifierParams, _dense_relu, _relu_stack, extract_features,
                         init_classifier, load_checkpoint, save_checkpoint,
                         snapshot_frozen)
 from plsp.tensorcore import Tensor, softmax
@@ -154,6 +156,29 @@ def test_forward_deterministic():
     params = init_classifier(5, (8, 6), 4, rng)
     x = rng.standard_normal((7, 5))
     assert np.array_equal(params.eval_logits(x), params.eval_logits(x))
+
+
+def test_full_set_forward_holds_no_full_set_activations():
+    """A full-set pass over 20,000 float32 rows of width 64, hidden widths
+    (128, 64), peaks below the 19.5 MiB of one (20,000, 128) float64 array,
+    the first layer's full-set activations. Its logits are those of a
+    one-shot forward of the float64 rows, bit for bit."""
+    rng = np.random.default_rng(6)
+    params = init_classifier(64, (128, 64), 4, rng)
+    x = rng.standard_normal((20_000, 64)).astype(np.float32)
+    bound = 20_000 * 128 * 8
+    for call in (params.eval_logits, params.predict):
+        tracemalloc.start()
+        try:
+            out = call(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (call.__name__, peak)
+    layers = [(w.data, b.data) for w, b in params.layers]
+    one_shot = _relu_stack(x.astype(np.float64), layers) @ params.head.data.T
+    assert np.array_equal(params.eval_logits(x), one_shot)
+    assert np.array_equal(out, one_shot.argmax(axis=1))
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -158,6 +158,17 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_python_m_plsp_runs_the_cli_without_a_warning(tmp_path):
+    """``python -m plsp`` loads the CLI module once, so nothing is printed
+    to stderr about a module found in ``sys.modules`` before it ran."""
+    env = dict(os.environ, PYTHONPATH=str(Path(plsp.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "plsp", "verify", "--instances", "1",
+                           "--mc-samples", "1000"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stderr == ""
+
+
 def test_every_command_runs_without_scipy(tmp_path):
     """scipy is a test dependency only: with it made unimportable, a tiny
     generate, train, df-baseline, eval and verify each exit 0."""
