@@ -162,7 +162,8 @@ def test_full_set_forward_holds_no_full_set_activations():
     """A full-set pass over 20,000 float32 rows of width 64, hidden widths
     (128, 64), peaks below the 19.5 MiB of one (20,000, 128) float64 array,
     the first layer's full-set activations. Its logits are those of a
-    one-shot forward of the float64 rows, bit for bit."""
+    one-shot forward of the float64 rows, bit for bit, also on 2,100 rows,
+    where 1024-row blocks would leave a 52-row tail."""
     rng = np.random.default_rng(6)
     params = init_classifier(64, (128, 64), 4, rng)
     x = rng.standard_normal((20_000, 64)).astype(np.float32)
@@ -177,8 +178,9 @@ def test_full_set_forward_holds_no_full_set_activations():
         assert peak < bound, (call.__name__, peak)
     layers = [(w.data, b.data) for w, b in params.layers]
     one_shot = _relu_stack(x.astype(np.float64), layers) @ params.head.data.T
-    assert np.array_equal(params.eval_logits(x), one_shot)
     assert np.array_equal(out, one_shot.argmax(axis=1))
+    for n in (20_000, 2_100):
+        assert np.array_equal(params.eval_logits(x[:n]), one_shot[:n]), n
 
 
 def test_checkpoint_roundtrip(tmp_path):
