@@ -29,9 +29,9 @@ node on the three. The step, the consistency term and ``assemble_batch``
 each report in a ``BatchLossReport``.
 
 Gradient flow: the weak branch (probabilities, semantic labels, pseudo
-targets) and the pseudo split are numpy forwards of the live weights with no
-gradient, so they enter as plain constants; only the strong-branch /
-un-augmented log-probabilities carry gradients.
+targets) is a numpy forward of the live weights, and the pseudo split reads
+the numpy logits the trainer hands it; both enter as plain constants, and
+only the strong-branch / un-augmented log-probabilities carry gradients.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ClassifierParams, FrozenClassifier, extract_features
-from .pldata import PLDataset
 from .semstats import ClassCovStats, pairwise_quadratic, probit_weak_probs, sample_semantic
 from .tensorcore import Tensor, node, softmax
 
@@ -63,13 +62,13 @@ class PseudoSplit:
     def n_unlabeled(self) -> int:
         return len(self.unlabeled_idx)
 
-    def check(self, ds: PLDataset, k: int) -> None:
+    def check(self, candidates: np.ndarray, k: int) -> None:
         joint = np.concatenate([self.labeled_idx, self.unlabeled_idx])
-        if len(np.unique(joint)) != ds.n or len(joint) != ds.n:
+        if len(np.unique(joint)) != len(candidates) or len(joint) != len(candidates):
             raise ValueError("split must partition the dataset")
-        if not np.all(ds.candidates[self.labeled_idx, self.labeled_y]):
+        if not np.all(candidates[self.labeled_idx, self.labeled_y]):
             raise ValueError("pseudo label outside its candidate set")
-        if self.n_labeled and np.bincount(self.labeled_y, minlength=ds.l).max() > k:
+        if self.n_labeled and np.bincount(self.labeled_y).max() > k:
             raise ValueError("per-class labeled count exceeds k")
 
 
@@ -106,29 +105,24 @@ def weak_cav_pseudo_labels(frozen: FrozenClassifier, x_weak: np.ndarray,
     return masked_argmax(cav_scores(frozen.logits_of(x_weak)), candidates)
 
 
-def build_pseudo_split(ds: PLDataset, params: ClassifierParams, k: int) -> PseudoSplit:
-    """Per class, commit the k highest-scoring instances among those whose
-    candidate-restricted activation-value argmax picked that class; the rest
-    stay unlabeled. Ties break toward the lower instance index."""
+def build_pseudo_split(logits: np.ndarray, candidates: np.ndarray, k: int) -> PseudoSplit:
+    """From a set's (n, l) ``logits`` and candidate masks: per class, commit
+    the k highest-scoring instances among those whose candidate-restricted
+    activation-value argmax picked that class; the rest stay unlabeled. One
+    sort ranks the rows by (class, descending score, index), so ties break
+    toward the lower index, and a row is committed when fewer than k precede
+    it in its class."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    z = params.eval_logits(ds.flat_features())
-    v = cav_scores(z)
-    pseudo = masked_argmax(v, ds.candidates)
-    chosen = np.zeros(ds.n, dtype=bool)
-    if k > 0:
-        for j in range(ds.l):
-            members = np.flatnonzero(pseudo == j)
-            if members.size == 0:
-                continue
-            order = members[np.lexsort((members, -v[members, j]))]
-            chosen[order[:k]] = True
+    v = cav_scores(logits)
+    pseudo = masked_argmax(v, candidates)
+    rows = np.arange(len(pseudo))
+    order = np.lexsort((rows, -v[rows, pseudo], pseudo))
+    ranked = pseudo[order]
+    chosen = np.zeros(len(pseudo), dtype=bool)
+    chosen[order[rows - np.searchsorted(ranked, ranked) < k]] = True
     labeled_idx = np.flatnonzero(chosen)
-    return PseudoSplit(
-        labeled_idx=labeled_idx,
-        labeled_y=pseudo[labeled_idx],
-        unlabeled_idx=np.flatnonzero(~chosen),
-    )
+    return PseudoSplit(labeled_idx, pseudo[labeled_idx], np.flatnonzero(~chosen))
 
 
 def loss_df(params: ClassifierParams, x: np.ndarray,

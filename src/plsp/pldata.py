@@ -210,15 +210,8 @@ def stratified_split(ds: PLDataset, n_test: int,
     test_idx = np.sort(np.concatenate(test_idx))
     is_test = np.zeros(ds.n, dtype=bool)
     is_test[test_idx] = True
-
-    def subset(keep: np.ndarray) -> PLDataset:
-        return PLDataset(
-            features=ds.features[keep].copy(),
-            candidates=ds.candidates[keep].copy(),
-            truth=ds.truth[keep].copy(),
-        )
-
-    return subset(~is_test), subset(is_test)
+    return tuple(PLDataset(ds.features[keep], ds.candidates[keep], ds.truth[keep])
+                 for keep in (~is_test, is_test))
 
 
 # -- disk format -----------------------------------------------------------

@@ -10,7 +10,10 @@ fewer confident predictions get lower thresholds), clamped to
 Each loop trains its ``params`` in place. ``train_df_baseline`` and
 ``train_ss`` return one ``MetricsRecord`` per epoch, the schema of the
 metrics files; ``pretrain`` records nothing. Train and test F1 in a record
-come from ``macro_micro_f1``.
+come from ``macro_micro_f1``. ``train_ss`` forwards the training set once per
+epoch boundary: before epoch 0 for its pseudo-split, and after epoch t for
+both epoch t's train F1 and epoch t + 1's split (not after the last epoch if
+the set has no truth).
 
 Both loops draw every mini-batch with a ``_Cycler``, without replacement: a
 batch larger than its pool runs on into a fresh permutation of it, so each
@@ -207,16 +210,17 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
     mini-batches, no augmentation, recording each epoch. Pre-training and the
     ablation reference for the full objective. A negative epoch count, and
     steps over no instance or batches of 0, raise ValueError."""
-    return [_epoch_record(t, params, ds, test_ds, start, config,
+    return [_epoch_record(t, seconds, config, params, ds, None if ds.truth is None
+                          else params.predict(ds.flat_features()), test_ds,
                           loss_df=mean_loss, loss_total=mean_loss, clamped=clamped)
-            for t, (start, mean_loss, clamped)
+            for t, (seconds, mean_loss, clamped)
             in enumerate(_df_epochs(ds, params, config, epochs))]
 
 
 def _df_epochs(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
                epochs: int):
     """Train ``params`` in place for ``epochs`` disambiguation-free epochs,
-    yielding each epoch's start time, mean loss and clamp count."""
+    yielding each epoch's seconds, mean loss and clamp count."""
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if epochs > 0 and config.inner_iters and min(ds.n, config.batch_unlabeled) < 1:
@@ -239,23 +243,25 @@ def _df_epochs(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
             opt.step()
             total += float(loss.data)
             clamped += batch_clamped
-        yield start, total / max(config.inner_iters, 1), clamped
+        yield time.perf_counter() - start, total / max(config.inner_iters, 1), clamped
 
 
-def _epoch_record(epoch: int, params: ClassifierParams, ds: PLDataset,
-                  test_ds: PLDataset | None, start: float, config: TrainConfig,
+def _epoch_record(epoch: int, seconds: float, config: TrainConfig,
+                  params: ClassifierParams, ds: PLDataset,
+                  train_pred: np.ndarray | None, test_ds: PLDataset | None,
                   **losses) -> MetricsRecord:
-    """The epoch's record: the loop's ``losses`` and counts, the seconds from
-    ``start`` to this call (the F1 evaluation is not timed), and train and
-    test F1 (0 where a set or its truth is absent)."""
-    seconds = 0.0 if config.deterministic else time.perf_counter() - start
-    (train_macro, train_micro), (test_macro, test_micro) = [
-        macro_micro_f1(params.predict(d.flat_features()), d.truth, d.l)
-        if d is not None and d.truth is not None else (0.0, 0.0)
-        for d in (ds, test_ds)]
+    """The epoch's record: the loop's ``losses`` and counts, its ``seconds``
+    (0 if ``config.deterministic``), the train F1 of ``train_pred`` on ``ds``
+    and the test F1 of ``params`` on ``test_ds`` (0 where a set or its truth is absent)."""
+    train_macro, train_micro = (macro_micro_f1(train_pred, ds.truth, ds.l)
+                                if ds.truth is not None else (0.0, 0.0))
+    test_macro, test_micro = (
+        macro_micro_f1(params.predict(test_ds.flat_features()), test_ds.truth, test_ds.l)
+        if test_ds is not None and test_ds.truth is not None else (0.0, 0.0))
     return MetricsRecord(epoch=epoch, macro_f1=test_macro, micro_f1=test_micro,
                          train_macro_f1=train_macro, train_micro_f1=train_micro,
-                         wall_clock_s=seconds, **losses)
+                         wall_clock_s=0.0 if config.deterministic else seconds,
+                         **losses)
 
 
 # BatchLossReport fields summed over an epoch's steps; the losses and the pass
@@ -290,6 +296,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
     sigma = np.zeros(ds.l, dtype=np.int64)   # confident counts of the last epoch
     opt = SgdOptimizer(params.parameters(), config)  # fresh momentum
     batch_rng = derive_rng(config.seed, _TAG_BATCH)
+    logits = params.eval_logits(x_flat) if n_epochs else None
 
     for t in range(n_epochs):
         start = time.perf_counter()
@@ -298,8 +305,9 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
         tau = update_tau(sigma, config.tau0, config.tau_floor)
         sigma = np.zeros(ds.l, dtype=np.int64)
 
-        split = build_pseudo_split(ds, params, config.k)
-        split.check(ds, config.k)
+        split = build_pseudo_split(logits, ds.candidates, config.k)
+        split.check(ds.candidates, config.k)
+        del logits  # one (n, l) logits array at a time
         lab_cycler = _Cycler(split.labeled_idx, batch_rng)
         unl_cycler = _Cycler(split.unlabeled_idx, batch_rng)
         lab_y = np.zeros(ds.n, dtype=np.int64)
@@ -327,9 +335,13 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
             for name in _SUMMED:
                 sums[name] += getattr(batch_report, name)
 
+        # the boundary forward, timed with the epoch it ends
+        if t + 1 < n_epochs or ds.truth is not None:
+            logits = params.eval_logits(x_flat)
         iters = max(config.inner_iters, 1)
         records.append(_epoch_record(
-            t, params, ds, test_ds, start, config,
+            t, time.perf_counter() - start, config, params, ds,
+            logits.argmax(axis=1) if ds.truth is not None else None, test_ds,
             loss_sup=sums["loss_sup"] / iters, reg_u=sums["reg_u"] / iters,
             loss_cl=sums["loss_cl"] / iters, loss_total=sums["total"] / iters,
             h_pass_rate=sums["h_pass_rate"] / iters,

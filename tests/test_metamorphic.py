@@ -26,7 +26,7 @@ from refgraph import gradients
 from plsp.model import init_classifier
 from plsp.objective import (build_pseudo_split, cav_scores, loss_df,
                             semantic_batch_loss)
-from plsp.pldata import PLDataset, generate_uss
+from plsp.pldata import generate_uss
 from plsp.semstats import (ClassCovStats, probit_weak_probs,
                            shifted_softmax_probs, update_cov_stats)
 
@@ -204,15 +204,16 @@ def test_pseudo_split_is_invariant_under_relabelling(seed, l):
     params, _, batch, _, _ = _case(seed, l, n_unl=30)
     perm, inv = _perm_and_inverse(np.random.default_rng([seed, 1]), l)
     cands = batch[5]
-    ds = PLDataset(features=batch[2].astype(np.float32), candidates=cands)
-    scores = cav_scores(params.eval_logits(ds.flat_features()))
+    x = batch[2].astype(np.float32)
+    logits = params.eval_logits(x)
+    scores = cav_scores(logits)
     assert _top_gap(scores, cands) > GAP
     pseudo = np.where(cands, scores, -np.inf).argmax(axis=1)
     for j in range(l):  # the top-k ranking within each class has no tie
         assert np.diff(np.sort(scores[pseudo == j, j])).min(initial=np.inf) > GAP
-    split = build_pseudo_split(ds, params, k=3)
-    got = build_pseudo_split(PLDataset(ds.features, cands[:, perm]),
-                             _relabel_params(params, perm), k=3)
+    split = build_pseudo_split(logits, cands, k=3)
+    got = build_pseudo_split(_relabel_params(params, perm).eval_logits(x),
+                             cands[:, perm], k=3)
     assert np.array_equal(got.labeled_idx, split.labeled_idx)
     assert np.array_equal(got.labeled_y, inv[split.labeled_y])
     assert np.array_equal(got.unlabeled_idx, split.unlabeled_idx)

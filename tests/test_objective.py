@@ -6,7 +6,7 @@ from refgraph import Ref, gradients, lift
 
 from plsp.model import (ClassifierParams, extract_features, init_classifier,
                         snapshot_frozen)
-from plsp.objective import (LOG_EPS, BatchLossReport, assemble_batch,
+from plsp.objective import (LOG_EPS, BatchLossReport, PseudoSplit, assemble_batch,
                             build_pseudo_split, cav_scores, loss_df,
                             loss_complementary_semantic, loss_sup_semantic,
                             masked_argmax, mc_oracle_reg,
@@ -140,86 +140,114 @@ def _split_dataset(rng, n=12, l=3):
                      truth=truth.astype(np.uint32))
 
 
-def _reference_split(ds, params, k):
-    z = params.eval_logits(ds.flat_features())
+def _reference_split(z, candidates, k):
+    n, l = candidates.shape
     v = z * np.abs(z - 1.0)
     pseudo = []
-    for i in range(ds.n):
+    for i in range(n):
         best, best_v = None, -np.inf
-        for j in range(ds.l):
-            if ds.candidates[i, j] and v[i, j] > best_v:
+        for j in range(l):
+            if candidates[i, j] and v[i, j] > best_v:
                 best, best_v = j, v[i, j]
         pseudo.append(best)
     labeled = set()
-    for j in range(ds.l):
-        members = sorted((i for i in range(ds.n) if pseudo[i] == j),
+    for j in range(l):
+        members = sorted((i for i in range(n) if pseudo[i] == j),
                          key=lambda i: (-v[i, j], i))
         labeled.update(members[:k])
     lab = sorted(labeled)
-    return lab, [pseudo[i] for i in lab], [i for i in range(ds.n) if i not in labeled]
+    return lab, [pseudo[i] for i in lab], [i for i in range(n) if i not in labeled]
+
+
+def _logits_of(ds, rng):
+    return init_classifier(2, (4,), ds.l, rng).eval_logits(ds.flat_features())
 
 
 def test_split_k0_is_all_unlabeled():
     rng = np.random.default_rng(0)
     ds = _split_dataset(rng)
-    split = build_pseudo_split(ds, init_classifier(2, (4,), 3, rng), 0)
+    split = build_pseudo_split(_logits_of(ds, rng), ds.candidates, 0)
     assert split.n_labeled == 0
     assert split.n_unlabeled == ds.n
-    split.check(ds, 0)
+    split.check(ds.candidates, 0)
 
 
 def test_split_k_ge_n_takes_everything():
     rng = np.random.default_rng(1)
     ds = _split_dataset(rng)
-    split = build_pseudo_split(ds, init_classifier(2, (4,), 3, rng), ds.n + 5)
+    split = build_pseudo_split(_logits_of(ds, rng), ds.candidates, ds.n + 5)
     assert split.n_labeled == ds.n
     assert split.n_unlabeled == 0
-    split.check(ds, ds.n + 5)
+    split.check(ds.candidates, ds.n + 5)
 
 
-def test_split_matches_reference_on_random_datasets():
-    rng = np.random.default_rng(2)
-    for trial in range(25):
+def _random_split_cases(rng):
+    """(logits, candidates, k): a small model's logits on random sets; then
+    integer logits, whose activation scores tie often, also across the k
+    boundary; then sets of no row."""
+    for _ in range(25):
         l = int(rng.integers(3, 5))
         n = int(rng.integers(4, 21))
         feats = rng.standard_normal((n, 3)).astype(np.float32)
-        truth = rng.integers(0, l, size=n)
-        ds = PLDataset(features=feats, candidates=generate_uss(truth, l, rng),
-                       truth=truth.astype(np.uint32))
-        params = init_classifier(3, (5,), l, rng)
-        k = int(rng.integers(0, 6))
-        split = build_pseudo_split(ds, params, k)
-        lab, lab_y, unl = _reference_split(ds, params, k)
+        cands = generate_uss(rng.integers(0, l, size=n), l, rng)
+        logits = init_classifier(3, (5,), l, rng).eval_logits(feats)
+        yield logits, cands, int(rng.integers(0, 6))
+    for _ in range(40):
+        l = int(rng.integers(3, 5))
+        n = int(rng.integers(1, 21))
+        cands = generate_uss(rng.integers(0, l, size=n), l, rng)
+        logits = rng.integers(-2, 3, size=(n, l)).astype(np.float64)
+        yield logits, cands, int(rng.integers(0, 6))
+    for k in (0, 3):
+        yield np.zeros((0, 3)), np.zeros((0, 3), dtype=bool), k
+
+
+def test_split_matches_reference_on_random_datasets():
+    boundary_ties = 0
+    for z, cands, k in _random_split_cases(np.random.default_rng(2)):
+        split = build_pseudo_split(z, cands, k)
+        lab, lab_y, unl = _reference_split(z, cands, k)
         assert split.labeled_idx.tolist() == lab
         assert split.labeled_y.tolist() == lab_y
         assert split.unlabeled_idx.tolist() == unl
-        split.check(ds, k)
+        split.check(cands, k)
+        # a committed row whose score equals an uncommitted row's of its class
+        v = cav_scores(z)
+        scores = {(int(y), v[i, y]) for i, y in zip(split.labeled_idx, split.labeled_y)}
+        pseudo = masked_argmax(v, cands)
+        boundary_ties += any((int(pseudo[i]), v[i, pseudo[i]]) in scores
+                             for i in split.unlabeled_idx)
+    assert boundary_ties >= 5
 
 
 def test_split_hand_case():
     # logits chosen so activation scores rank instance 2 above 0 for class 0
-    feats = np.eye(3, 2, dtype=np.float32)
     cands = np.array([[True, True, False],
                       [True, True, False],
                       [True, False, True]])
-    ds = PLDataset(features=np.vstack([feats, feats]).astype(np.float32),
-                   candidates=np.vstack([cands, cands]))
-
-    class FakeModel:
-        n_classes = 3
-
-        def eval_logits(self, x):
-            return np.array([[2.0, 0.5, 0.0],    # v0 = 2.0  -> class 0
-                             [0.5, 3.0, 0.0],    # v1 = 6.0  -> class 1
-                             [2.5, 0.0, 0.2],    # v0 = 3.75 -> class 0
-                             [1.5, 0.9, 0.0],    # v0 = 0.75 -> class 0
-                             [0.5, 2.0, 0.0],    # v1 = 2.0  -> class 1
-                             [0.5, 0.0, 1.8]])   # v2 = 1.44 -> class 2
-
-    split = build_pseudo_split(ds, FakeModel(), 1)
+    logits = np.array([[2.0, 0.5, 0.0],    # v0 = 2.0  -> class 0
+                       [0.5, 3.0, 0.0],    # v1 = 6.0  -> class 1
+                       [2.5, 0.0, 0.2],    # v0 = 3.75 -> class 0
+                       [1.5, 0.9, 0.0],    # v0 = 0.75 -> class 0
+                       [0.5, 2.0, 0.0],    # v1 = 2.0  -> class 1
+                       [0.5, 0.0, 1.8]])   # v2 = 1.44 -> class 2
+    split = build_pseudo_split(logits, np.vstack([cands, cands]), 1)
     assert split.labeled_idx.tolist() == [1, 2, 5]
     assert split.labeled_y.tolist() == [1, 0, 2]
     assert split.unlabeled_idx.tolist() == [0, 3, 4]
+
+
+def test_split_check_rejects_a_broken_split():
+    cands = np.array([[True, False, True], [False, True, True], [True, True, False]])
+    PseudoSplit(np.array([0, 1]), np.array([0, 1]), np.array([2])).check(cands, 1)
+    for lab, lab_y, unl, k, match in [
+            ([0], [0], [2], 1, "partition"),           # row 1 in neither part
+            ([0, 1], [0, 1], [1, 2], 1, "partition"),  # row 1 in both
+            ([0, 1], [1, 1], [2], 2, "candidate"),     # 1 is no candidate of row 0
+            ([0, 1], [2, 2], [2], 1, "exceeds k")]:
+        split = PseudoSplit(np.array(lab), np.array(lab_y), np.array(unl))
+        with pytest.raises(ValueError, match=match):
+            split.check(cands, k)
 
 
 # -- consistency gate ---------------------------------------------------------------

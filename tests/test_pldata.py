@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -264,6 +265,27 @@ def test_stratified_split_counts():
     assert train.n + test.n == 100
     assert test.n == 20
     assert np.all(np.bincount(test.truth, minlength=4) == 5)
+
+
+def test_stratified_split_copies_each_array_once():
+    """Splitting 5,000 of 20,000 rows of width 64 allocates the two subsets'
+    arrays plus at most 16 bytes per source row (two int64 indices' worth,
+    for the masks and the test indices). A second copy of the train
+    features would add 192 bytes per row. No output shares memory with the
+    source."""
+    rng = np.random.default_rng(4)
+    ds = make_blobs(20_000, 4, 64, 3.0, rng)
+    ds.candidates = generate_fps(ds.truth, 4, 0.3, rng)
+    tracemalloc.start()
+    try:
+        parts = stratified_split(ds, 5_000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [a for part in parts for a in (part.features, part.candidates, part.truth)]
+    assert peak < sum(a.nbytes for a in arrays) + 16 * ds.n, peak
+    for a, source in zip(arrays, 2 * [ds.features, ds.candidates, ds.truth]):
+        assert not np.shares_memory(a, source)
 
 
 # -- disk format ---------------------------------------------------------------

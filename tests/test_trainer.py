@@ -192,7 +192,8 @@ def test_train_ss_gamma_lambda_zero_equals_complementary_only():
     x_flat = ds.flat_features().astype(np.float64)
     opt = SgdOptimizer(params_b.parameters(), config)
     batch_rng = augment.derive_rng(config.seed, _TAG_BATCH)
-    split = build_pseudo_split(ds, params_b, config.k)
+    split = build_pseudo_split(params_b.eval_logits(ds.flat_features()),
+                               ds.candidates, config.k)
     lab_cycler = _Cycler(split.labeled_idx, batch_rng)
     unl_cycler = _Cycler(split.unlabeled_idx, batch_rng)
     for c in range(config.inner_iters):
@@ -232,6 +233,38 @@ def test_train_ss_takes_no_snapshot_of_the_model(monkeypatch):
     assert all(r.n_labeled > 0 and r.n_unlabeled > 0 for r in records)
     assert not all(np.array_equal(p.data, b)
                    for p, b in zip(params.parameters(), before))
+
+
+@pytest.mark.parametrize("truth, ss_forwards, df_forwards", [(True, 4, 3), (False, 3, 0)])
+def test_one_train_set_forward_per_epoch_boundary(monkeypatch, truth, ss_forwards,
+                                                  df_forwards):
+    """Over 3 epochs, ``train_ss`` forwards the training set before epoch 0
+    and after each epoch, whose forward feeds both that epoch's train F1 and
+    the next split; without truth the forward after the last epoch would feed
+    nothing, so it is not made. The disambiguation-free loop forwards the set
+    once per epoch for its train F1, and not at all without truth."""
+    ds = _blob_pl_dataset(n=60, seed=9)
+    if not truth:
+        ds.truth = None
+    test_ds = _blob_pl_dataset(n=30, seed=10)
+    calls = []
+    eval_logits = model.ClassifierParams.eval_logits
+
+    def counting(self, x):
+        calls.append(len(x))
+        return eval_logits(self, x)
+
+    monkeypatch.setattr(model.ClassifierParams, "eval_logits", counting)
+    config = _tiny_config(ss_epochs=3)
+    params = new_classifier(ds, config)
+    records = train_ss(ds, params, config, test_ds=test_ds)
+    assert (calls.count(ds.n), calls.count(test_ds.n)) == (ss_forwards, 3)
+    if truth:  # the last record's train F1 is of the weights the epoch left
+        assert records[-1].train_micro_f1 == trainer.macro_micro_f1(
+            params.predict(ds.flat_features()), ds.truth, ds.l)[1]
+    calls.clear()
+    train_df_baseline(ds, params, config, 3, test_ds)
+    assert (calls.count(ds.n), calls.count(test_ds.n)) == (df_forwards, 3)
 
 
 def test_train_ss_deterministic_records():
