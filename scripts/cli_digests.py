@@ -12,7 +12,11 @@ the script with its exit code.
 The inputs are small criterion-7-style blobs (4 classes, d = 2, separation
 2.75, flip candidates at q = 0.6) from ``plsp generate``, and 8x8x1 grids
 built here from 64-dimensional blobs. Uses the standard library and plsp only;
-takes well under a minute.
+a run takes 0.6-1.0 s on a 2-core x86-64 host, start-up included.
+
+Tier-1 (``tests/test_cli_digests.py``) runs it six times: twice in process,
+to check that it ends and prints the same 38 lines; once in a child with
+scipy made unimportable; and in three children under different BLAS kernels.
 """
 
 from __future__ import annotations

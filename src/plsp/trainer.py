@@ -119,9 +119,15 @@ class MetricsRecord:
     is_summary: bool = False
 
     def to_json_line(self) -> str:
-        """Raises ValueError on a NaN or infinite field: JSON has no token
-        for either."""
-        return json.dumps(dataclasses.asdict(self), allow_nan=False)
+        """Raises ValueError naming the epoch and each NaN or infinite
+        field: JSON has no token for either."""
+        data = dataclasses.asdict(self)
+        try:
+            return json.dumps(data, allow_nan=False)
+        except ValueError:
+            bad = [name for name, value in data.items() if not np.isfinite(value).all()]
+            raise ValueError(f"epoch {self.epoch}: non-finite "
+                             f"{', '.join(bad)} in the metrics record") from None
 
     @classmethod
     def from_json_line(cls, line: str) -> "MetricsRecord":

@@ -713,7 +713,9 @@ def test_cli_non_finite_metric_exits_4_and_leaves_no_stream(tmp_path, monkeypatc
     capsys.readouterr()
     assert _run(["df-baseline", "--data", str(data), "--metrics", str(metrics),
                  "--epochs", "2"]) == 4
-    assert json.loads(capsys.readouterr().err)["code"] == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["code"] == 4
+    assert "epoch 1" in error["error"] and "loss_df" in error["error"], error
     assert metrics.read_text(encoding="utf-8") == "earlier run\n"
 
 

@@ -168,27 +168,3 @@ def test_python_m_plsp_runs_the_cli_without_a_warning(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stderr == ""
 
-
-def test_every_command_runs_without_scipy(tmp_path):
-    """scipy is a test dependency only: with it made unimportable, a tiny
-    generate, train, df-baseline, eval and verify each exit 0."""
-    commands = [
-        ["generate", "--out", "d.plsp", "--test-out", "t.plsp", "--n", "60",
-         "--n-test", "20", "--classes", "3"],
-        ["train", "--data", "d.plsp", "--test", "t.plsp", "--out", "m.plsw",
-         "--metrics", "m.jsonl", "--hidden-dims", "8", "--pretrain-epochs", "1",
-         "--ss-epochs", "1", "--inner-iters", "2", "--batch-labeled", "8",
-         "--batch-unlabeled", "16", "--k", "5"],
-        ["df-baseline", "--data", "d.plsp", "--metrics", "df.jsonl", "--epochs", "1",
-         "--hidden-dims", "8", "--inner-iters", "2", "--batch-unlabeled", "16"],
-        ["eval", "--checkpoint", "m.plsw", "--data", "t.plsp"],
-        ["verify", "--instances", "1", "--mc-samples", "1000"],
-    ]
-    proc = _run_python(
-        "import sys\n"
-        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
-        "from plsp.evalcli import cli_main\n"
-        f"print('exit codes', [cli_main(argv) for argv in {commands!r}])\n", tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0, 0, 0]", \
-        proc.stdout + proc.stderr
