@@ -61,13 +61,19 @@ def beta_sup_errors(grid: int = 40001) -> list[tuple[str, float, float]]:
     return out
 
 
+def _random_model(rng: np.random.Generator, n_rows: int):
+    """A random 4 -> 12 -> 8 model over 3 classes, and its covariance stats
+    filled from the features of ``n_rows`` random rows with random labels."""
+    params, stats = init_classifier(4, (12, 8), 3, rng), ClassCovStats(3, 8)
+    feats = params.eval_features(rng.standard_normal((n_rows, 4)))
+    update_cov_stats(stats, feats, rng.integers(0, 3, size=n_rows))
+    return params, stats
+
+
 def _random_case(rng: np.random.Generator):
     """A live model, frozen copy, populated covariance stats, one instance."""
-    l, d_f, input_dim = 3, 8, 4
-    params = init_classifier(input_dim, (12, d_f), l, rng)
-    stats = ClassCovStats(l, d_f)
-    feats = params.eval_features(rng.standard_normal((25 * l, input_dim)))
-    update_cov_stats(stats, feats, rng.integers(0, l, size=feats.shape[0]))
+    params, stats = _random_model(rng, 75)
+    l, input_dim = params.n_classes, params.input_dim
     x = rng.standard_normal(input_dim)
     x_weak = x + 0.05 * rng.standard_normal(input_dim)
     x_strong = x + 0.15 * rng.standard_normal(input_dim)
@@ -87,12 +93,9 @@ def check_lambda_zero(seed: int = 0, n_batches: int = 10,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_batches):
-        l, d_f, b = 3, 8, 6
-        params = init_classifier(4, (12, d_f), l, rng)
-        stats = ClassCovStats(l, d_f)
-        feats = params.eval_features(rng.standard_normal((40, 4)))
-        update_cov_stats(stats, feats, rng.integers(0, l, size=40))
-        x = rng.standard_normal((b, 4))
+        params, stats = _random_model(rng, 40)
+        l, b = params.n_classes, 6
+        x = rng.standard_normal((b, params.input_dim))
         y = rng.integers(0, l, size=b)
         masks = pldata.generate_uss(y, l, rng)
 
@@ -267,10 +270,10 @@ def check_weak_branch(seed: int, n_samples: int, n_cases: int = 12) -> CheckResu
 
 
 def run_verify(seed: int, n_instances: int, mc_samples: int, out=None) -> bool:
-    if n_instances < 1:
-        raise ValueError("need n_instances >= 1")
-    if mc_samples < 1:
-        raise ValueError("need mc_samples >= 1")
+    for name, value, least in (("seed", seed, 0), ("n_instances", n_instances, 1),
+                               ("mc_samples", mc_samples, 1)):
+        if value < least:
+            raise ValueError(f"need {name} >= {least}")
     results = [
         check_bound_direction(seed, n_instances),
         check_lambda_zero(seed),

@@ -6,10 +6,10 @@ closed-form semantic losses differentiate through. A frozen snapshot of the
 parameters is a pure-numpy copy, so nothing computed from it can leak
 gradients back into training.
 
-The numpy forwards take rows of any float dtype and convert them to float64
-as they go. A full-set pass (``eval_logits``, so ``predict``) runs in row
-blocks of at most ``_EVAL_BLOCK`` rows, so it holds one block's float64 rows
-and activations at a time, never the whole set's.
+Every forward, numpy or differentiable, takes rows of any float dtype and
+shape and flattens them to float64 rows. A full-set pass (``eval_logits``,
+so ``predict``) runs in row blocks of at most ``_EVAL_BLOCK`` rows, holding
+one block's float64 rows and activations at a time, never the whole set's.
 """
 
 from __future__ import annotations
@@ -96,10 +96,15 @@ def init_classifier(input_dim: int, hidden_dims: tuple[int, ...], n_classes: int
     return ClassifierParams(layers=layers, head=Tensor(head, requires_grad=True))
 
 
+def _input_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of any float dtype and shape as a float64 (n, width) matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    return x.reshape(len(x), math.prod(x.shape[1:]))  # explicit width: 0 rows reshape too
+
+
 def _relu_stack(x: np.ndarray, layers) -> np.ndarray:
     """Numpy forward pass through (weight, bias) array pairs."""
-    x = np.asarray(x, dtype=np.float64)
-    a = x.reshape(len(x), math.prod(x.shape[1:]))  # explicit width: 0 rows reshape too
+    a = _input_rows(x)
     for w, b in layers:
         a = _affine_relu(a, w, b)
     return a
@@ -114,8 +119,7 @@ def _affine_relu(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def extract_features(params: ClassifierParams, x: np.ndarray) -> Tensor:
     """Differentiable forward pass through the ReLU stack."""
-    x = np.asarray(x, dtype=np.float64)
-    x = x.reshape(len(x), math.prod(x.shape[1:]))
+    x = _input_rows(x)
     if x.shape[1] != params.input_dim:
         raise ValueError(f"input dim {x.shape[1]} != expected {params.input_dim}")
     a = Tensor(x)

@@ -96,13 +96,12 @@ def update_cov_stats(stats: ClassCovStats, features: np.ndarray,
         raise ValueError("feature/label counts differ")
     if labels.size and (labels.min() < 0 or labels.max() >= stats.n_classes):
         raise ValueError("class label out of range")
-    order = np.argsort(labels, kind="stable")
-    classes, starts, sizes = np.unique(labels[order], return_index=True,
-                                       return_counts=True)
-    features = features[order]
-    for j, start, m_new in zip(classes, starts, sizes):
-        d = features[start:start + m_new] - stats.means[j]
-        total = int(stats.counts[j]) + int(m_new)
+    sizes = np.bincount(labels, minlength=stats.n_classes)
+    starts = np.cumsum(sizes) - sizes
+    features = features[np.argsort(labels, kind="stable")]
+    for j in np.flatnonzero(sizes):
+        d = features[starts[j]:starts[j] + sizes[j]] - stats.means[j]
+        total = int(stats.counts[j]) + int(sizes[j])
         s = d.sum(axis=0) / total
         cov = stats.covs[j]
         cov *= stats.counts[j] / total

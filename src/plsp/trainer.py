@@ -19,10 +19,9 @@ Both loops draw every mini-batch with a ``_Cycler``, without replacement: a
 batch larger than its pool runs on into a fresh permutation of it, so each
 aligned block of pool-size draws holds every instance once.
 
-The dataset's features stay float32: each loop converts only the rows a batch
-draws to float64 (exactly, so every batch equals a slice of a float64 copy of
-the set), and the full-set passes hand the float32 rows to the model, which
-forwards them in row blocks.
+Both loops hand the dataset's stored float32 rows, or their augmented copies,
+to the model as they are: the model flattens the rows it forwards to float64
+rows, exactly, and forwards full sets in row blocks.
 """
 
 from __future__ import annotations
@@ -217,7 +216,7 @@ def train_df_baseline(ds: PLDataset, params: ClassifierParams, config: TrainConf
     ablation reference for the full objective. A negative epoch count, and
     steps over no instance or batches of 0, raise ValueError."""
     return [_epoch_record(t, seconds, config, params, ds, None if ds.truth is None
-                          else params.predict(ds.flat_features()), test_ds,
+                          else params.predict(ds.features), test_ds,
                           loss_df=mean_loss, loss_total=mean_loss, clamped=clamped)
             for t, (seconds, mean_loss, clamped)
             in enumerate(_df_epochs(ds, params, config, epochs))]
@@ -232,7 +231,6 @@ def _df_epochs(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
     if epochs > 0 and config.inner_iters and min(ds.n, config.batch_unlabeled) < 1:
         raise ValueError(f"nothing to train on: n = {ds.n} instances, "
                          f"batch_unlabeled = {config.batch_unlabeled}")
-    x = ds.flat_features()
     rng = derive_rng(config.seed, _TAG_PRETRAIN)
     opt = SgdOptimizer(params.parameters(), config)
     for _ in range(epochs):
@@ -242,8 +240,7 @@ def _df_epochs(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
         clamped = 0
         for _ in range(config.inner_iters):
             idx = cycler.take(config.batch_unlabeled)
-            loss, batch_clamped = loss_df(params, x[idx].astype(np.float64),
-                                          ds.candidates[idx])
+            loss, batch_clamped = loss_df(params, ds.features[idx], ds.candidates[idx])
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -262,7 +259,7 @@ def _epoch_record(epoch: int, seconds: float, config: TrainConfig,
     train_macro, train_micro = (macro_micro_f1(train_pred, ds.truth, ds.l)
                                 if ds.truth is not None else (0.0, 0.0))
     test_macro, test_micro = (
-        macro_micro_f1(params.predict(test_ds.flat_features()), test_ds.truth, test_ds.l)
+        macro_micro_f1(params.predict(test_ds.features), test_ds.truth, test_ds.l)
         if test_ds is not None and test_ds.truth is not None else (0.0, 0.0))
     return MetricsRecord(epoch=epoch, macro_f1=test_macro, micro_f1=test_micro,
                          train_macro_f1=train_macro, train_micro_f1=train_micro,
@@ -282,9 +279,9 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
 
     Per inner iteration: draw a labeled and an unlabeled mini-batch (a pool
     thinner than its batch is drawn whole, then from a fresh shuffle; an
-    empty pool gives an empty batch, whose terms are 0), generate weak/strong
-    variants, fold the labeled batch's un-augmented features into the
-    per-class covariance stats, evaluate the combined objective (its weak
+    empty pool gives an empty batch, whose terms are 0), fold the labeled
+    batch's un-augmented features into the per-class covariance stats,
+    generate weak/strong variants, evaluate the combined objective (its weak
     branch a numpy forward of the live weights) at the current (gamma, lam,
     tau), and take an SGD step.
     Confident counts accumulate over the epoch and set the next epoch's
@@ -296,13 +293,11 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
     if n_epochs > 0 and config.inner_iters and ds.n < 1:
         raise ValueError(f"nothing to train on: n = {ds.n} instances")
     records: list[MetricsRecord] = []
-    width = math.prod(ds.feature_shape)
-    x_flat = ds.flat_features()
     stats = ClassCovStats(ds.l, params.feature_dim)
     sigma = np.zeros(ds.l, dtype=np.int64)   # confident counts of the last epoch
     opt = SgdOptimizer(params.parameters(), config)  # fresh momentum
     batch_rng = derive_rng(config.seed, _TAG_BATCH)
-    logits = params.eval_logits(x_flat) if n_epochs else None
+    logits = params.eval_logits(ds.features) if n_epochs else None
 
     for t in range(n_epochs):
         start = time.perf_counter()
@@ -325,15 +320,13 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
             unl = unl_cycler.take(config.batch_unlabeled)
             wk_rng = derive_rng(config.seed, _TAG_AUG_WEAK, t, c)
             st_rng = derive_rng(config.seed, _TAG_AUG_STRONG, t, c)
-            x_lab = x_flat[lab].astype(np.float64)
-            x_unl = ds.features[unl].astype(np.float64)
-            x_w = augment.weak_batch(x_unl, spec, wk_rng).reshape(unl.size, width)
-            x_s = augment.strong_batch(x_unl, spec, st_rng).reshape(unl.size, width)
-            update_cov_stats(stats, params.eval_features(x_lab), lab_y[lab])
+            x_lab, y_lab, x_unl = ds.features[lab], lab_y[lab], ds.features[unl]
+            update_cov_stats(stats, params.eval_features(x_lab), y_lab)
 
             total, batch_report = semantic_batch_loss(
-                params, stats, x_lab, lab_y[lab], x_unl.reshape(unl.size, width),
-                x_w, x_s, ds.candidates[unl], lam, tau, gamma)
+                params, stats, x_lab, y_lab, x_unl, augment.weak_batch(x_unl, spec, wk_rng),
+                augment.strong_batch(x_unl, spec, st_rng), ds.candidates[unl],
+                lam, tau, gamma)
             opt.zero_grad()
             total.backward()
             opt.step()
@@ -343,7 +336,7 @@ def train_ss(ds: PLDataset, params: ClassifierParams, config: TrainConfig,
 
         # the boundary forward, timed with the epoch it ends
         if t + 1 < n_epochs or ds.truth is not None:
-            logits = params.eval_logits(x_flat)
+            logits = params.eval_logits(ds.features)
         iters = max(config.inner_iters, 1)
         records.append(_epoch_record(
             t, time.perf_counter() - start, config, params, ds,

@@ -682,7 +682,8 @@ def test_cli_verify_small_run(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--instances", "0"), ("--instances", "-3"),
-                                        ("--mc-samples", "0"), ("--mc-samples", "-1")])
+                                        ("--mc-samples", "0"), ("--mc-samples", "-1"),
+                                        ("--seed", "-1")])
 def test_cli_verify_exit_4_on_count_below_one(capsys, flag, value):
     assert _run(["verify", flag, value]) == 4
     captured = capsys.readouterr()

@@ -169,6 +169,32 @@ def test_training_takes_no_float64_copy_of_the_features():
     assert peak < ds.features.size * 8, peak
 
 
+@pytest.mark.parametrize("shape", [(2,), (8, 8, 1)])
+def test_training_on_float32_rows_equals_training_on_float64_rows(shape):
+    """The loops hand stored rows to the model, which converts them exactly:
+    ``pretrain`` then ``train_ss`` on float32 features and on a float64 copy
+    of them give bit-identical weights and records, on blobs and on 8x8x1
+    grids (whose augmentation then runs in float32 and in float64)."""
+    rng = np.random.default_rng(12)
+    n, d = 90, math.prod(shape)
+    ds = make_blobs(n, 3, d, 4.0, rng)
+    assert ds.features.dtype == np.float32
+    candidates = generate_fps(ds.truth, 3, 0.4, rng)
+    config = _tiny_config(deterministic=True)
+    runs = []
+    for dtype in (np.float32, np.float64):
+        x = ds.features.reshape(n, *shape).astype(dtype)
+        train = PLDataset(x, candidates, ds.truth)
+        test = PLDataset(x[:30], candidates[:30], ds.truth[:30])
+        params = new_classifier(train, config)
+        pretrain(train, params, config)
+        records = train_ss(train, params, config, test_ds=test)
+        runs.append(([p.data for p in params.parameters()], records))
+    (weights32, records32), (weights64, records64) = runs
+    assert all(np.array_equal(a, b) for a, b in zip(weights32, weights64))
+    assert records32 == records64
+
+
 def test_train_ss_zero_epochs_is_identity():
     ds = _blob_pl_dataset()
     config = _tiny_config(ss_epochs=0)
